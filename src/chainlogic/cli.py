@@ -7,6 +7,8 @@ setting choices on both sides, apparatus mode.
 
 Exit codes:
     0   success
+    1   any other engine error, e.g. a vacuous premise, a framework
+        violation or a schedule error
     2   an inconsistent history family was detected
     3   the state fails the defining joint-probability pattern
     64  usage or configuration error
@@ -134,6 +136,11 @@ def _choice_weights_from(data) -> ChoiceWeights:
                   for side in data))
     if not ok:
         raise ConfigError("choice_weights must be [[wL1, wL2], [wR1, wR2]]")
+    for side, pair in zip("LR", data):
+        if not all(w > 0 for w in pair):
+            raise ConfigError(
+                f"choice_weights for side {side} must both be > 0; a zero "
+                "weight leaves that setting's conditional probabilities undefined")
     return ((float(data[0][0]), float(data[0][1])),
             (float(data[1][0]), float(data[1][1])))
 

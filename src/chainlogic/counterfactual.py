@@ -214,7 +214,7 @@ def _counterfactual_outcomes(tree: FrameworkTree, pivot: PivotPath,
         if time_index == tree.depth:
             completions.append((suffix, prob))
             return
-        for nxt in tree.layers[time_index](path):
+        for nxt in tree.resolved[path]:
             child_state, child_prob = _apply_member(
                 state, tree.grid.evolution(time_index + 1), nxt)
             descend(time_index + 1, path + (nxt.label,), child_state,

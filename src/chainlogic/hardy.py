@@ -30,6 +30,7 @@ setting, left outcome, right setting, right outcome):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -41,6 +42,7 @@ from .errors import (
     DegenerateBasisError,
     InternalConsistencyError,
     NotAHardyStateError,
+    ScheduleError,
 )
 from .histories import TimeGrid
 from .qm import (
@@ -350,13 +352,12 @@ class HardyScenario:
 
 def _validate_choice_weights(weights: ChoiceWeights) -> ChoiceWeights:
     out = []
-    for side, pair in zip("LR", weights):
-        pair = (float(pair[0]), float(pair[1]))
-        if any(w < 0 or not math.isfinite(w) for w in pair):
-            raise ConfigError(f"choice weights for side {side} must be >= 0")
-        if abs(pair[0] + pair[1] - 1.0) > 1e-9:
-            raise ConfigError(f"choice weights for side {side} must sum to 1")
-        out.append(pair)
+    for side, labels, pair in zip("LR", (L_SETTINGS, R_SETTINGS), weights):
+        try:
+            choice = ClassicalChoice(tuple(zip(labels, pair)))
+        except ScheduleError as exc:
+            raise ConfigError(f"choice weights for side {side}: {exc}") from exc
+        out.append(tuple(weight for _, weight in choice.members))
     return (out[0], out[1])
 
 
@@ -386,6 +387,7 @@ def _particle_schedule(settings, weights):
 _APPARATUS_DIMS = (2, 2, 6, 6)  # qubit L, qubit R, register L, register R
 
 
+@functools.cache
 def _register_projector(side: str, index: int) -> Projector:
     site = 2 if side == "L" else 3
     reg = np.zeros(6)

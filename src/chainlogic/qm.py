@@ -35,19 +35,18 @@ SPAN_DEPENDENCE_CUTOFF = 1e-10
 class Tolerances:
     """Per-run numerical tolerances."""
 
-    algebra: float = ALGEBRA_TOL
     consistency: float = SPECTRAL_TOL
     prune: float = 1e-12
 
     def __post_init__(self) -> None:
-        for name in ("algebra", "consistency", "prune"):
+        for name in ("consistency", "prune"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and 0 < value < 1):
                 raise ValueError(f"tolerance {name!r} must lie in (0, 1), got {value!r}")
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, float]) -> "Tolerances":
-        unknown = set(data) - {"algebra", "consistency", "prune"}
+        unknown = set(data) - {"consistency", "prune"}
         if unknown:
             raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
         return cls(**{k: float(v) for k, v in data.items()})

@@ -12,6 +12,9 @@ schedule.  Each layer of the schedule is one of
   * a callable mapping the branch path so far to either of the above, which
     lets later decompositions depend on earlier outcomes.
 
+``build_tree`` resolves and validates each layer once per branch path and
+keeps the result; later lookups on the tree only read it.
+
 Node states propagate as unnormalized vectors (pure initial condition) or
 density matrices, scaled by sqrt-weights of classical choices, so a leaf's
 probability is the classical weight product times the Born weight of its
@@ -30,7 +33,6 @@ from .errors import (
     DimensionMismatchError,
     DuplicateLabelError,
     FrameworkViolationError,
-    PvmOrthogonalityError,
     ScheduleError,
 )
 from .histories import (
@@ -48,6 +50,7 @@ from .qm import (
     Projector,
     ProjectiveDecomposition,
     StateVector,
+    _check_pvm,
     commutator_norm,
     identity_projector,
 )
@@ -94,33 +97,22 @@ LayerLike = (
 
 
 def _as_members(layer, path: BranchPath, dim: int) -> tuple[_Member, ...]:
-    if callable(layer) and not isinstance(
-            layer, (ProjectiveDecomposition, ClassicalChoice)):
+    if callable(layer):
         try:
             layer = layer(path)
         except KeyError as exc:
             raise ScheduleError(f"schedule has no entry for branch {path!r}") from exc
     if isinstance(layer, ClassicalChoice):
         return tuple(_Member(label, None, weight) for label, weight in layer.members)
-    if isinstance(layer, ProjectiveDecomposition):
-        pairs = tuple(layer)
-    else:
-        pairs = tuple(layer)
-        labels = [str(label) for label, _ in pairs]
-        if len(set(labels)) != len(labels):
-            raise DuplicateLabelError(f"duplicate branch label under {path!r}")
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                cross = np.abs(pairs[i][1].matrix @ pairs[j][1].matrix).max()
-                if cross > ALGEBRA_TOL:
-                    raise PvmOrthogonalityError(
-                        f"branch projectors {labels[i]!r} and {labels[j]!r} under "
-                        f"{path!r} are not orthogonal (max |PQ| = {cross:.3e})")
+    pairs = tuple((str(label), proj) for label, proj in layer)
+    # an empty layer is left to build_tree, which reports it as unaccounted
+    if pairs and not isinstance(layer, ProjectiveDecomposition):
+        _check_pvm(pairs, atol=ALGEBRA_TOL, complete=False)
     for label, proj in pairs:
         if proj.dim != dim:
             raise DimensionMismatchError(
                 f"projector {label!r} has dim {proj.dim}, tree dim is {dim}")
-    return tuple(_Member(str(label), proj, 1.0) for label, proj in pairs)
+    return tuple(_Member(label, proj, 1.0) for label, proj in pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,12 +157,16 @@ class PrunedBranch:
 
 @dataclass(frozen=True, eq=False)
 class FrameworkTree:
-    """Built (and possibly pruned) branching structure over a time grid."""
+    """Built (and possibly pruned) branching structure over a time grid.
+
+    ``resolved`` maps every branch path the build grew, pruned ones
+    included, to the schedule members declared directly under it.
+    """
 
     grid: TimeGrid
     rho: DensityOperator
     root: BranchNode
-    layers: tuple[Callable[[BranchPath], tuple[_Member, ...]], ...]
+    resolved: dict[BranchPath, tuple[_Member, ...]]
     pruned: tuple[PrunedBranch, ...] = ()
     prune_tol: float | None = None
 
@@ -221,14 +217,20 @@ class FrameworkTree:
         walk(self.root)
         return tuple(sorted(found))
 
+    def _members_at(self, time_index: int, prefix: BranchPath) -> tuple[_Member, ...]:
+        prefix = tuple(prefix)
+        if len(prefix) != time_index - 1 or prefix not in self.resolved:
+            raise ScheduleError(
+                f"no schedule layer at time index {time_index} under {prefix!r}")
+        return self.resolved[prefix]
+
     def member_labels(self, time_index: int, prefix: BranchPath) -> tuple[str, ...]:
         """Labels the schedule declares at ``time_index`` under ``prefix``."""
-        members = self.layers[time_index - 1](tuple(prefix))
-        return tuple(m.label for m in members)
+        return tuple(m.label for m in self._members_at(time_index, prefix))
 
     def schedule_member(self, time_index: int, prefix: BranchPath,
                         label: str) -> _Member:
-        for member in self.layers[time_index - 1](tuple(prefix)):
+        for member in self._members_at(time_index, prefix):
             if member.label == label:
                 return member
         raise KeyError(label)
@@ -268,9 +270,7 @@ def build_tree(grid: TimeGrid, schedule: Sequence[LayerLike],
     if rho.dim != grid.dim:
         raise DimensionMismatchError("initial condition dim differs from grid dim")
 
-    layers = tuple(
-        (lambda layer: lambda path: _as_members(layer, path, grid.dim))(layer)
-        for layer in schedule)
+    resolved: dict[BranchPath, tuple[_Member, ...]] = {}
     root_state = rho.pure_vector if rho.pure_vector is not None else rho.matrix
 
     def grow(time_index: int, label: str | None, projector: Projector | None,
@@ -278,7 +278,8 @@ def build_tree(grid: TimeGrid, schedule: Sequence[LayerLike],
              prob: float) -> BranchNode:
         children: tuple[BranchNode, ...] = ()
         if time_index < grid.nsteps:
-            members = layers[time_index](path)
+            members = resolved[path] = _as_members(schedule[time_index], path,
+                                                   grid.dim)
             evolution = grid.evolution(time_index + 1)
             grown = []
             captured = 0.0
@@ -301,7 +302,7 @@ def build_tree(grid: TimeGrid, schedule: Sequence[LayerLike],
     root = grow(0, None, None, 1.0, (), root_state,
                 float(np.vdot(root_state, root_state).real) if root_state.ndim == 1
                 else float(np.trace(root_state).real))
-    return FrameworkTree(grid=grid, rho=rho, root=root, layers=layers)
+    return FrameworkTree(grid=grid, rho=rho, root=root, resolved=resolved)
 
 
 def prune_zero_branches(tree: FrameworkTree,
@@ -332,7 +333,7 @@ def prune_zero_branches(tree: FrameworkTree,
     if root is None:  # total weight below tolerance cannot happen for unit rho
         raise FrameworkViolationError("pruning removed the entire tree")
     return FrameworkTree(grid=tree.grid, rho=tree.rho, root=root,
-                         layers=tree.layers,
+                         resolved=tree.resolved,
                          pruned=tree.pruned + tuple(removed), prune_tol=tol)
 
 
@@ -482,11 +483,7 @@ def enforce_single_framework(paths: Iterable[Iterable[str]],
             continue
         prefix: BranchPath = ()
         for depth, label in enumerate(path, start=1):
-            try:
-                labels = tree.member_labels(depth, prefix)
-            except ScheduleError:
-                labels = ()
-            if label not in labels:
+            if label not in tree.member_labels(depth, prefix):
                 violations.append(path)
                 break
             prefix = prefix + (label,)
@@ -524,11 +521,7 @@ def tree_document(tree: FrameworkTree) -> TreeDocument:
         children: list[TreeNodeDocument] = []
         if node.time_index < tree.depth:
             present = {child.label: child for child in node.children}
-            try:
-                labels = tree.member_labels(node.time_index + 1, node.path)
-            except ScheduleError:
-                labels = tuple(present)
-            for label in labels:
+            for label in tree.member_labels(node.time_index + 1, node.path):
                 if label in present:
                     children.append(node_doc(present[label]))
                 else:

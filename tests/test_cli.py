@@ -118,6 +118,18 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "refusing to rescale" in err
 
+    @pytest.mark.parametrize("weights, side", [
+        ([[1.0, 0.0], [0.5, 0.5]], "L"),
+        ([[0.5, 0.5], [0.0, 1.0]], "R"),
+    ])
+    def test_zero_choice_weight_refused(self, capsys, write_config, weights,
+                                        side):
+        path = write_config({"choice_weights": weights, "mode": "particle"})
+        code, out, err = run_cli(capsys, "hardy", "--json", "--config", path)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"side {side}" in err
+
     def test_degenerate_basis_is_generic_failure(self, capsys, write_config):
         path = write_config({"amplitudes": [0.0, 1.0, 0.0],
                              "mode": "particle"})

@@ -20,6 +20,7 @@ from chainlogic.errors import (
 )
 from chainlogic.hardy import (
     HardyAmplitudes,
+    _register_projector,
     build_measurement_scenario,
     hardy_settings,
     hardy_state,
@@ -65,6 +66,19 @@ def forked_tree():
         lambda path: {"a": x_layer(), "b": z_layer()}[path[-1]],
     ]
     return build_tree(grid, layers, basis_state(2, 0))
+
+
+def count_projectors(monkeypatch) -> list:
+    """Record every ``Projector`` constructed from here on."""
+    built: list = []
+    original = Projector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Projector, "__post_init__", counting)
+    return built
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +357,28 @@ class TestLocalityReport:
         scenario = build_measurement_scenario(degenerate, mode="particle")
         with pytest.raises(NotAHardyStateError, match="strict"):
             locality_report(scenario)
+
+    def test_apparatus_report_builds_no_projectors(self, equal_apparatus,
+                                                   monkeypatch):
+        locality_report(equal_apparatus)
+        built = count_projectors(monkeypatch)
+        report = locality_report(equal_apparatus)
+        assert report.demonstrated
+        assert built == []
+
+    def test_register_projectors_built_once_per_process(self, monkeypatch):
+        _register_projector.cache_clear()
+        built = count_projectors(monkeypatch)
+        first = build_measurement_scenario(EQUAL, mode="apparatus")
+        second = build_measurement_scenario(
+            HardyAmplitudes.symmetric_outer(0.3), mode="apparatus")
+        # six register states on each side, nothing else is a projector here
+        assert len(built) == 12
+        assert _register_projector.cache_info().currsize == 12
+        for path, members in first.unpruned_tree.resolved.items():
+            others = second.unpruned_tree.resolved[path]
+            assert all(m.projector is o.projector
+                       for m, o in zip(members, others))
 
     def test_custom_state_route_skips_strict_gate(self):
         scenario = build_measurement_scenario(

@@ -1,0 +1,39 @@
+"""Byte-for-byte comparison of CLI reports against recorded outputs.
+
+``tests/golden/<config>.<command>.json`` holds the stdout of one
+subcommand run on one sample config from ``configs/``.  Any difference is
+a change in user-visible output; re-record a file only when that change is
+deliberate.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from chainlogic.cli import EXIT_OK, TOL_ENV_VAR, main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CONFIGS = ("biased_choices", "equal_apparatus", "equal_particle",
+           "suppressed_outcome")
+COMMANDS = {
+    "hardy": ("hardy", "--json"),
+    "counterfactual": ("counterfactual", "--both", "--json"),
+    "consistency": ("consistency", "--json"),
+    "export": ("export", "--format", "json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("config", CONFIGS)
+def test_report_matches_golden(capsys, monkeypatch, config, command):
+    monkeypatch.delenv(TOL_ENV_VAR, raising=False)
+    argv = [*COMMANDS[command], "--config",
+            str(ROOT / "configs" / f"{config}.json")]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.encode() == (GOLDEN / f"{config}.{command}.json").read_bytes()

@@ -227,7 +227,9 @@ class TestTolerances:
     def test_defaults_and_mapping(self):
         tol = Tolerances.from_mapping({"consistency": 1e-8})
         assert tol.consistency == 1e-8
-        assert tol.algebra == Tolerances().algebra
+        assert tol.prune == Tolerances().prune
+        with pytest.raises(ValueError, match="unknown"):
+            Tolerances.from_mapping({"algebra": 1e-12})
 
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -244,6 +244,56 @@ class TestCompatibility:
             check_compatibility(a, b)
 
 
+def conditional_zx_tree(calls: list | None = None):
+    """Time-2 layer chosen by a callable from the time-1 outcome."""
+    def second(path):
+        if calls is not None:
+            calls.append(path)
+        return x_layer() if path[-1] == "z+" else z_layer()
+
+    grid = TimeGrid.identity((0.0, 1.0, 2.0), 2)
+    return build_tree(grid, [z_layer(), second], basis_state(2, 0))
+
+
+class TestScheduleLookup:
+    @pytest.mark.parametrize("make", [zx_tree, conditional_zx_tree],
+                             ids=["static", "callable"])
+    def test_declared_prefixes_resolve(self, make):
+        tree = make()
+        assert tree.member_labels(1, ()) == ("z+", "z-")
+        assert tree.member_labels(2, ("z+",)) == ("x+", "x-")
+        assert tree.schedule_member(2, ("z+",), "x-").label == "x-"
+        with pytest.raises(KeyError):
+            tree.schedule_member(2, ("z+",), "y+")
+
+    @pytest.mark.parametrize("make", [zx_tree, conditional_zx_tree],
+                             ids=["static", "callable"])
+    @pytest.mark.parametrize("time_index, prefix", [
+        (2, ()),
+        (1, ("z+",)),
+        (3, ("z+", "x+")),
+        (0, ()),
+        (2, ("sideways",)),
+    ], ids=["too-short", "too-long", "beyond-depth", "before-first",
+            "never-grown"])
+    def test_bad_prefixes_raise(self, make, time_index, prefix):
+        tree = make()
+        with pytest.raises(ScheduleError):
+            tree.member_labels(time_index, prefix)
+        with pytest.raises(ScheduleError):
+            tree.schedule_member(time_index, prefix, "x+")
+
+    def test_callable_layer_resolved_once_per_path(self):
+        calls: list = []
+        tree = prune_zero_branches(conditional_zx_tree(calls))
+        assert calls == [("z+",), ("z-",)]
+        # the z- branch is pruned, yet its declared layer still resolves
+        assert tree.member_labels(2, ("z-",)) == ("z+", "z-")
+        assert tree.member_labels(2, ("z+",)) == ("x+", "x-")
+        export_tree(tree, "json")
+        assert calls == [("z+",), ("z-",)]
+
+
 class TestSingleFramework:
     def test_declared_paths_resolve(self):
         tree = prune_zero_branches(zx_tree())
