@@ -477,11 +477,8 @@ def build_measurement_scenario(
             # convention (qL, qR, regL, regR)
             rho = StateVector(full.transpose(0, 2, 1, 3).reshape(144))
         else:
-            register = DensityOperator(outer(np.kron(chi_l, chi_r)))
-            pair44 = pair_state.matrix.reshape(2, 2, 2, 2)
-            reg_part = register.matrix.reshape(6, 6, 6, 6)
-            big = np.einsum("lrLR,mnMN->lrmnLRMN", pair44, reg_part)
-            rho = DensityOperator(big.reshape(144, 144))
+            rho = pair_state.tensor(DensityOperator.from_state(
+                StateVector(np.kron(chi_l, chi_r))))
         dim = 144
         u_l_full = embed_operator(u_l, _APPARATUS_DIMS, (0, 2))
         u_r_full = embed_operator(u_r, _APPARATUS_DIMS, (1, 3))

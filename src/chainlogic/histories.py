@@ -131,7 +131,8 @@ def chain_operator(history: History) -> np.ndarray:
 
 
 def chain_apply(history: History, vector: np.ndarray) -> np.ndarray:
-    """Chain operator applied to a vector, without forming the matrix."""
+    """Chain operator applied to a vector, or to each column of a matrix,
+    without forming the operator."""
     out = np.asarray(vector, dtype=np.complex128)
     for ev in history.events:
         out = ev.projector.matrix @ (history.grid.evolution(ev.time_index) @ out)
@@ -146,15 +147,12 @@ def _clamped_probability(value: float, floor: float = NEGATIVITY_FLOOR) -> float
 
 
 def history_probability(history: History, rho: DensityOperator) -> float:
-    """Born weight Tr(F rho F^dagger) of a single history."""
+    """Born weight Tr(F rho F^dagger) of a single history: with rho = A A^dagger
+    it is the squared Frobenius norm of F A."""
     if rho.dim != history.grid.dim:
         raise DimensionMismatchError("state and grid dimensions differ")
-    if rho.pure_vector is not None:
-        branch = chain_apply(history, rho.pure_vector)
-        return float(np.vdot(branch, branch).real)
-    f = chain_operator(history)
-    value = float(np.vdot(f, f @ rho.matrix).real)  # Tr(F rho F^+) = Tr(F^+ F rho)
-    return _clamped_probability(value)
+    branch = chain_apply(history, rho.factor)
+    return _clamped_probability(float(np.vdot(branch, branch).real))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,20 +228,13 @@ def consistency_matrix(family: HistoryFamily,
 
     The family is consistent iff every off-diagonal magnitude is below
     ``tol`` (strong condition: complex parts must vanish, not just the real
-    ones).  A single-history family is trivially consistent.
+    ones).  A single-history family is trivially consistent.  With
+    rho = A A^dagger each entry is Tr((F_g A)^dagger (F_k A)).
     """
     k = len(family.histories)
-    if family.rho.pure_vector is not None:
-        branches = np.array(
-            [chain_apply(h, family.rho.pure_vector) for h in family.histories])
-        matrix = branches.conj() @ branches.T
-    else:
-        chains = [chain_operator(h) for h in family.histories]
-        matrix = np.empty((k, k), dtype=np.complex128)
-        for j, f_k in enumerate(chains):
-            f_rho = f_k @ family.rho.matrix
-            for g, f_g in enumerate(chains):
-                matrix[g, j] = np.vdot(f_g, f_rho)  # Tr(F_g^+ F_k rho)
+    branches = np.array([chain_apply(h, family.rho.factor)
+                         for h in family.histories]).reshape(k, -1)
+    matrix = branches.conj() @ branches.T
     worst: tuple[int, int, float] | None = None
     if k > 1:
         off = np.abs(matrix - np.diag(np.diag(matrix)))

@@ -204,16 +204,23 @@ def projector_from_span(vectors: Sequence[StateVector]) -> Projector:
     return Projector(total)
 
 
+def numerical_rank_cutoff(eigenvalues: np.ndarray, dim: int) -> float:
+    """Eigenvalues at or below this count as zero (``matrix_rank``'s rule)."""
+    return float(eigenvalues.max()) * dim * np.finfo(np.float64).eps
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace operator.
 
-    ``pure_vector`` is a private fast path kept when the operator was built
-    from a state vector; it never changes the represented operator.
+    ``factor`` is a private square-root factor A, ``matrix`` = A A^dagger: the
+    state vector for an operator built from one, else a (dim, r) matrix of
+    the eigenvectors above ``numerical_rank_cutoff`` scaled by sqrt-eigenvalues.
+    A factor passed in skips the eigendecomposition and is trusted.
     """
 
     matrix: np.ndarray
-    pure_vector: np.ndarray | None = field(default=None, repr=False)
+    factor: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.matrix, dtype=np.complex128)
@@ -224,11 +231,18 @@ class DensityOperator:
             raise ValueError("density operator is not hermitian within tolerance")
         if abs(np.trace(arr).real - 1.0) > ALGEBRA_TOL or abs(np.trace(arr).imag) > ALGEBRA_TOL:
             raise ValueError("density operator trace is not 1 within tolerance")
-        if np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min() < -SPECTRAL_TOL:
+        hermitian = (arr + arr.conj().T) / 2.0
+        if self.factor is None:
+            eigenvalues, eigenvectors = np.linalg.eigh(hermitian)
+            keep = eigenvalues > numerical_rank_cutoff(eigenvalues, len(arr))
+            factor = eigenvectors[:, keep] * np.sqrt(eigenvalues[keep])
+        else:
+            eigenvalues = np.linalg.eigvalsh(hermitian)
+            factor = self.factor
+        if eigenvalues.min() < -SPECTRAL_TOL:
             raise ValueError("density operator has an eigenvalue below the negativity floor")
         object.__setattr__(self, "matrix", _frozen_complex(arr))
-        if self.pure_vector is not None:
-            object.__setattr__(self, "pure_vector", _frozen_complex(self.pure_vector))
+        object.__setattr__(self, "factor", _frozen_complex(factor))
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
@@ -241,15 +255,16 @@ class DensityOperator:
     def from_state(cls, state: StateVector) -> "DensityOperator":
         if not state.is_normalized():
             raise ValueError("density operator requires a normalized state vector")
-        return cls(outer(state.amps), pure_vector=state.amps)
+        return cls(outer(state.amps), factor=state.amps)
 
     def tensor(self, other: "DensityOperator") -> "DensityOperator":
         if not isinstance(other, DensityOperator):
             raise KindMismatchError("tensor of a density operator with a different kind")
-        pure = None
-        if self.pure_vector is not None and other.pure_vector is not None:
-            pure = np.kron(self.pure_vector, other.pure_vector)
-        return DensityOperator(np.kron(self.matrix, other.matrix), pure_vector=pure)
+        a, b = self.factor, other.factor
+        if a.ndim != b.ndim:  # one side pure: treat its vector as a column
+            a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+        return DensityOperator(np.kron(self.matrix, other.matrix),
+                               factor=np.kron(a, b))
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,10 +15,11 @@ schedule.  Each layer of the schedule is one of
 ``build_tree`` resolves and validates each layer once per branch path and
 keeps the result; later lookups on the tree only read it.
 
-Node states propagate as unnormalized vectors (pure initial condition) or
-density matrices, scaled by sqrt-weights of classical choices, so a leaf's
-probability is the classical weight product times the Born weight of its
-quantum events.
+Node states are unnormalized square-root factors, not density matrices: a
+branch's operator is state state^dagger, grown from ``rho.factor`` (a vector
+for a pure state, one column per rank otherwise) and scaled by sqrt-weights
+of classical choices, so a leaf's probability is the classical weight
+product times the Born weight of its quantum events.
 """
 
 from __future__ import annotations
@@ -119,9 +120,9 @@ def _as_members(layer, path: BranchPath, dim: int) -> tuple[_Member, ...]:
 class BranchNode:
     """One event in the tree; the root carries no event of its own.
 
-    ``state`` is the unnormalized branch state at this node's time, after the
-    node's own event: a vector when the initial condition is pure, otherwise
-    a density matrix.  ``prob`` is its weight.
+    ``state`` is the unnormalized branch factor at this node's time, after the
+    node's own event: the branch operator is state state^dagger, with one
+    column per rank of a mixed initial condition.  ``prob`` is its weight.
     """
 
     time_index: int
@@ -144,9 +145,7 @@ class BranchNode:
     def normalized_state(self) -> np.ndarray:
         if self.prob <= 0.0:
             raise ZeroDivisionError("cannot normalize a zero-weight branch state")
-        if self.state.ndim == 1:
-            return self.state / np.sqrt(self.prob)
-        return self.state / self.prob
+        return self.state / np.sqrt(self.prob)
 
 
 @dataclass(frozen=True)
@@ -238,19 +237,12 @@ class FrameworkTree:
 
 def _apply_member(state: np.ndarray, evolution: np.ndarray,
                   member: _Member) -> tuple[np.ndarray, float]:
-    """Propagate an unnormalized branch state through one event."""
-    if state.ndim == 1:
-        nxt = evolution @ state
-        if member.projector is not None:
-            nxt = member.projector.matrix @ nxt
-        nxt = np.sqrt(member.weight) * nxt
-        return nxt, float(np.vdot(nxt, nxt).real)
-    nxt = evolution @ state @ evolution.conj().T
+    """Propagate an unnormalized branch factor through one event."""
+    nxt = evolution @ state
     if member.projector is not None:
-        p = member.projector.matrix
-        nxt = p @ nxt @ p
-    nxt = member.weight * nxt
-    return nxt, float(np.trace(nxt).real)
+        nxt = member.projector.matrix @ nxt
+    nxt = np.sqrt(member.weight) * nxt
+    return nxt, float(np.vdot(nxt, nxt).real)
 
 
 def build_tree(grid: TimeGrid, schedule: Sequence[LayerLike],
@@ -271,7 +263,7 @@ def build_tree(grid: TimeGrid, schedule: Sequence[LayerLike],
         raise DimensionMismatchError("initial condition dim differs from grid dim")
 
     resolved: dict[BranchPath, tuple[_Member, ...]] = {}
-    root_state = rho.pure_vector if rho.pure_vector is not None else rho.matrix
+    root_state = rho.factor
 
     def grow(time_index: int, label: str | None, projector: Projector | None,
              weight: float, path: BranchPath, state: np.ndarray,
@@ -300,8 +292,7 @@ def build_tree(grid: TimeGrid, schedule: Sequence[LayerLike],
                           state=state)
 
     root = grow(0, None, None, 1.0, (), root_state,
-                float(np.vdot(root_state, root_state).real) if root_state.ndim == 1
-                else float(np.trace(root_state).real))
+                float(np.vdot(root_state, root_state).real))
     return FrameworkTree(grid=grid, rho=rho, root=root, resolved=resolved)
 
 

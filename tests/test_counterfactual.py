@@ -26,7 +26,13 @@ from chainlogic.hardy import (
     hardy_state,
 )
 from chainlogic.histories import TimeGrid
-from chainlogic.qm import Projector, basis_state, outer
+from chainlogic.qm import (
+    SPECTRAL_TOL,
+    Projector,
+    StateVector,
+    basis_state,
+    outer,
+)
 from chainlogic.tree import ClassicalChoice, build_tree
 from strategies import strict_triples
 
@@ -337,6 +343,77 @@ class TestGenericTree:
         assert verdict.distribution["x+"] == pytest.approx(0.5, abs=1e-12)
         assert verdict.kind == "possible"
         assert verdict.impossible_outcomes == ()
+
+
+def tilted_basis(theta: float, start: int):
+    """("up", "down") basis with P(down) = sin^2(theta) from basis state
+    ``start``."""
+    c, s = np.cos(theta), np.sin(theta)
+    up, down = ([c, s], [-s, c]) if start == 0 else ([s, c], [c, -s])
+    return [("up", proj(up)), ("down", proj(down))]
+
+
+def angle_for(weight: float) -> float:
+    return float(np.arcsin(np.sqrt(weight)))
+
+
+class TestNearThreshold:
+    """Verdicts with the deciding quantity at tol * (1 +- 1/2), default tol."""
+
+    TOL = SPECTRAL_TOL
+
+    def two_pivot_tree(self, weight_a: float, weight_b: float):
+        # time 1 splits |x+> into z+ and z- (the two pivots), time 2 is a
+        # classical choice, and under "B" time 3 tilts the record basis so
+        # that "down" has weight_a on the z+ pivot and weight_b on z-
+        grid = TimeGrid.identity((0.0, 1.0, 2.0, 3.0), 2)
+        third = {
+            ("z+", "A"): z_layer(), ("z-", "A"): z_layer(),
+            ("z+", "B"): tilted_basis(angle_for(weight_a), 0),
+            ("z-", "B"): tilted_basis(angle_for(weight_b), 1),
+        }
+        layers = [z_layer(), ClassicalChoice((("A", 0.5), ("B", 0.5))),
+                  lambda path: third[path]]
+        return build_tree(grid, layers, StateVector(np.array([S, S])))
+
+    @pytest.mark.parametrize("scale_a", [0.5, 1.5])
+    @pytest.mark.parametrize("scale_b", [0.5, 1.5])
+    def test_necessary_and_impossible_thresholds(self, scale_a, scale_b):
+        tree = self.two_pivot_tree(scale_a * self.TOL, scale_b * self.TOL)
+        query = CounterfactualQuery(premise={2: "A"}, pivot_time=2,
+                                    alternative="B", targets=("up", "down"))
+        verdict = evaluate_counterfactual(tree, query)
+        assert verdict.tol == self.TOL
+        assert [p.path for p in verdict.pivots] == [("z+",), ("z-",)]
+        downs = [p.outcomes["down"] for p in verdict.pivots]
+        ups = [p.outcomes["up"] for p in verdict.pivots]
+        assert downs == pytest.approx([scale_a * self.TOL, scale_b * self.TOL],
+                                      rel=1e-4)
+        both_below = scale_a < 1 and scale_b < 1
+        assert all(1.0 - v < self.TOL for v in ups) == both_below
+        assert all(v < self.TOL for v in downs) == both_below
+        assert verdict.is_necessary == both_below
+        assert verdict.outcome == ("up" if both_below else None)
+        assert verdict.impossible_outcomes == (("down",) if both_below else ())
+
+    @pytest.mark.parametrize("scale", [0.5, 1.5])
+    def test_vacuity_threshold(self, scale):
+        theta = angle_for(scale * self.TOL)
+        grid = TimeGrid.identity((0.0, 1.0, 2.0), 2)
+        start = StateVector(np.array([np.cos(theta), np.sin(theta)]))
+        tree = build_tree(grid, [z_layer(), x_layer()], start)
+        query = CounterfactualQuery(premise={1: "z-"}, pivot_time=2,
+                                    alternative="x-")
+        weight = sum(leaf.prob for leaf in tree.leaves()
+                     if leaf.path[0] == "z-")
+        assert weight == pytest.approx(scale * self.TOL, rel=1e-4)
+        if weight <= self.TOL:
+            with pytest.raises(VacuousPremiseError, match="probability"):
+                find_pivot(tree, query)
+        else:
+            pivots = find_pivot(tree, query)
+            assert [p.path for p in pivots] == [("z-",)]
+        assert (weight <= self.TOL) == (scale < 1)
 
 
 class TestLocalityReport:

@@ -109,6 +109,51 @@ class TestChainOperator:
         assert p_mixed == pytest.approx(p_pure, abs=1e-12)
 
 
+def rank_two_state() -> DensityOperator:
+    v = np.array([0.6, 0.8j])
+    w = np.array([S, -S])
+    return DensityOperator(0.7 * outer(v) + 0.3 * outer(w))
+
+
+class TestMixedState:
+    """The factor route against Tr(F_g^dagger F_k rho) from dense chains."""
+
+    @staticmethod
+    def family() -> HistoryFamily:
+        theta = 0.3
+        u = np.array([[np.cos(theta), -np.sin(theta)],
+                      [np.sin(theta), np.cos(theta)]], dtype=complex)
+        grid = TimeGrid((0.0, 1.0, 2.0, 3.0), (u, u, u))
+        histories = tuple(
+            history_of(grid, v1, v2, v3, labels=(s1, s2, s3))
+            for s1, v1 in (("x+", X_PLUS), ("x-", X_MINUS))
+            for s2, v2 in (("z+", Z_PLUS), ("z-", Z_MINUS))
+            for s3, v3 in (("x+", X_PLUS), ("x-", X_MINUS)))
+        return HistoryFamily(grid=grid, rho=rank_two_state(),
+                             histories=histories)
+
+    def test_state_has_two_factor_columns(self):
+        assert rank_two_state().factor.shape == (2, 2)
+
+    def test_consistency_matrix_matches_dense(self):
+        family = self.family()
+        rho = family.rho.matrix
+        chains = [chain_operator(h) for h in family.histories]
+        want = np.array([[np.trace(f_g.conj().T @ f_k @ rho) for f_k in chains]
+                         for f_g in chains])
+        got = consistency_matrix(family).matrix
+        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(want - np.diag(np.diag(want))).max() > 1e-3
+
+    def test_history_probability_matches_dense(self):
+        family = self.family()
+        for h in family.histories:
+            f = chain_operator(h)
+            want = np.trace(f @ family.rho.matrix @ f.conj().T).real
+            assert history_probability(h, family.rho) == pytest.approx(
+                want, abs=1e-12)
+
+
 def xzx_family() -> HistoryFamily:
     grid = qubit_grid(3)
     histories = []

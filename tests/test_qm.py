@@ -12,6 +12,7 @@ from chainlogic.errors import (
     PvmCompletenessError,
     PvmOrthogonalityError,
 )
+from chainlogic.hardy import HardyAmplitudes, hardy_state
 from chainlogic.qm import (
     DensityOperator,
     ProjectiveDecomposition,
@@ -127,7 +128,7 @@ class TestProjectorFromSpan:
 class TestDensityOperator:
     def test_from_state_keeps_fast_path(self):
         rho = DensityOperator.from_state(basis_state(2, 0))
-        assert rho.pure_vector is not None
+        assert rho.factor.shape == (2,)
         assert np.allclose(rho.matrix, np.diag([1.0, 0.0]))
 
     def test_trace_and_positivity_enforced(self):
@@ -143,8 +144,58 @@ class TestDensityOperator:
         sigma = DensityOperator.from_state(basis_state(3, 2))
         tau = rho.tensor(sigma)
         assert tau.dim == 6
-        assert tau.pure_vector is not None
-        assert np.argmax(np.abs(tau.pure_vector)) == 2
+        assert tau.factor.shape == (6,)
+        assert np.argmax(np.abs(tau.factor)) == 2
+
+
+def reconstruction_error(rho: DensityOperator) -> float:
+    """Max-entry distance between A A^dagger and the operator's matrix."""
+    a = rho.factor.reshape(rho.dim, -1)
+    return float(np.abs(a @ a.conj().T - rho.matrix).max())
+
+
+def noisy_hardy_pair() -> DensityOperator:
+    psi = hardy_state(HardyAmplitudes.equal()).amps
+    return DensityOperator(0.95 * outer(psi) + 0.05 * identity(4) / 4.0)
+
+
+def pure_register(rng: np.random.Generator) -> DensityOperator:
+    """A pure state of the two 6-level apparatus registers."""
+    v = rng.normal(size=36) + 1j * rng.normal(size=36)
+    return DensityOperator.from_state(StateVector(v / np.linalg.norm(v)))
+
+
+class TestDensityFactor:
+    def test_full_rank_state(self, rng):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = g @ g.conj().T
+        rho = DensityOperator(m / np.trace(m).real)
+        assert rho.factor.shape == (4, 4)
+        assert reconstruction_error(rho) < 1e-12
+
+    def test_noisy_pair_with_pure_register_has_four_columns(self, rng):
+        rho = noisy_hardy_pair().tensor(pure_register(rng))
+        assert rho.factor.shape == (144, 4)
+        assert reconstruction_error(rho) < 1e-12
+
+    def test_pure_matrix_gives_one_column(self, rng):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rho = DensityOperator(outer(v / np.linalg.norm(v)))
+        assert rho.factor.shape == (4, 1)
+        assert reconstruction_error(rho) < 1e-12
+
+    def test_mixed_tensor_pure_matches_kron_and_einsum(self, rng):
+        pair, register = noisy_hardy_pair(), pure_register(rng)
+        rho = pair.tensor(register)
+        # the (qL, qR) x (regL, regR) product written out index by index
+        reference = np.einsum("lrLR,mnMN->lrmnLRMN",
+                              pair.matrix.reshape(2, 2, 2, 2),
+                              register.matrix.reshape(6, 6, 6, 6))
+        assert np.array_equal(rho.matrix, np.kron(pair.matrix, register.matrix))
+        assert np.array_equal(rho.matrix, reference.reshape(144, 144))
+        flipped = register.tensor(pair)  # pure on the left
+        assert flipped.factor.shape == (144, 4)
+        assert reconstruction_error(flipped) < 1e-12
 
 
 class TestProjectiveDecomposition:

@@ -133,6 +133,24 @@ class TestBuildTree:
         p2 = dict(mixed.leaf_probabilities())
         assert all(abs(p1[k] - p2[k]) < 1e-12 for k in p1)
 
+    def test_rank_two_state_matches_dense_reference(self):
+        theta = 0.4
+        u = np.array([[np.cos(theta), -np.sin(theta)],
+                      [np.sin(theta), np.cos(theta)]], dtype=complex)
+        grid = TimeGrid((0.0, 1.0, 2.0), (u, u))
+        rho = DensityOperator(0.75 * outer(np.array([0.6, 0.8j]))
+                              + 0.25 * outer(X_MINUS))
+        assert rho.factor.shape == (2, 2)
+        tree = build_tree(grid, [z_layer(), x_layer()], rho)
+        assert len(tree.leaves()) == 4
+        for leaf in tree.leaves():
+            p1 = tree.node_at(leaf.path[:1]).projector.matrix
+            f = leaf.projector.matrix @ u @ p1 @ u
+            want = np.trace(f @ rho.matrix @ f.conj().T).real
+            assert leaf.prob == pytest.approx(want, abs=1e-12)
+            assert np.linalg.norm(leaf.normalized_state()) == pytest.approx(
+                1.0, abs=1e-12)
+
 
 class TestPruning:
     def test_removes_zero_branches_and_records_them(self):
