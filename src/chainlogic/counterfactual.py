@@ -41,7 +41,7 @@ from .hardy import (
     no_signaling_report,
 )
 from .qm import SPECTRAL_TOL
-from .tree import BranchNode, BranchPath, FrameworkTree, _apply_member
+from .tree import BranchPath, FrameworkTree, _apply_member
 
 SUFFIX_SEPARATOR = " / "
 
@@ -124,15 +124,13 @@ def _declared_labels(tree: FrameworkTree, time_index: int) -> set[str]:
     """Union of schedule labels offered at ``time_index`` over realized
     prefixes."""
     labels: set[str] = set()
-
-    def walk(node: BranchNode) -> None:
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
         if node.time_index == time_index - 1:
             labels.update(tree.member_labels(time_index, node.path))
-            return
-        for child in node.children:
-            walk(child)
-
-    walk(tree.root)
+        else:
+            stack.extend(node.children)
     return labels
 
 
@@ -208,19 +206,8 @@ def _counterfactual_outcomes(tree: FrameworkTree, pivot: PivotPath,
     state, prob = _apply_member(node.state, tree.grid.evolution(query.pivot_time),
                                 member)
     completions: list[tuple[tuple[str, ...], float]] = []
-
-    def descend(time_index: int, path: BranchPath, state: np.ndarray,
-                prob: float, suffix: tuple[str, ...]) -> None:
-        if time_index == tree.depth:
-            completions.append((suffix, prob))
-            return
-        for nxt in tree.resolved[path]:
-            child_state, child_prob = _apply_member(
-                state, tree.grid.evolution(time_index + 1), nxt)
-            descend(time_index + 1, path + (nxt.label,), child_state,
-                    child_prob, suffix + (nxt.label,))
-
-    descend(query.pivot_time, pivot.path + (query.alternative,), state, prob, ())
+    _descend(tree, query.pivot_time, pivot.path + (query.alternative,), state,
+             prob, (), completions)
     total = sum(p for _, p in completions)
     if total <= 0.0:
         raise VacuousPremiseError(
@@ -231,6 +218,21 @@ def _counterfactual_outcomes(tree: FrameworkTree, pivot: PivotPath,
         key = SUFFIX_SEPARATOR.join(suffix) if suffix else query.alternative
         merged[key] = merged.get(key, 0.0) + p / total
     return merged
+
+
+def _descend(tree: FrameworkTree, time_index: int, path: BranchPath,
+             state: np.ndarray, prob: float, suffix: tuple[str, ...],
+             completions: list[tuple[tuple[str, ...], float]]) -> None:
+    """Append every full-depth continuation of ``path`` to ``completions``
+    as (labels after the pivot, probability), in schedule order."""
+    if time_index == tree.depth:
+        completions.append((suffix, prob))
+        return
+    for nxt in tree.resolved[path]:
+        child_state, child_prob = _apply_member(
+            state, tree.grid.evolution(time_index + 1), nxt)
+        _descend(tree, time_index + 1, path + (nxt.label,), child_state,
+                 child_prob, suffix + (nxt.label,), completions)
 
 
 def evaluate_counterfactual(tree: FrameworkTree, query: CounterfactualQuery,

@@ -64,6 +64,14 @@ from .tree import (
 )
 
 STRICT_AMPLITUDE_FLOOR = 1e-9
+# Largest | |a|^2 + |b|^2 + |c|^2 - 1 | accepted for an amplitude triple.
+AMPLITUDE_NORM_TOL = 1e-12
+# Components at or below this magnitude are skipped when fixing a phase.
+PHASE_FIX_FLOOR = 1e-12
+# Largest Gram-matrix defect accepted for a setting's outcome pair.
+SETTING_GRAM_TOL = 1e-10
+# Largest |U^dagger U - 1| entry accepted for a measurement unitary.
+UNITARITY_TOL = 1e-12
 
 L_SETTINGS = ("ML1", "ML2")
 R_SETTINGS = ("MR1", "MR2")
@@ -88,9 +96,10 @@ class HardyAmplitudes:
         norm_sq = abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2
         if not math.isfinite(norm_sq):
             raise ValueError("amplitudes must be finite")
-        if abs(norm_sq - 1.0) > 1e-12:
+        if abs(norm_sq - 1.0) > AMPLITUDE_NORM_TOL:
             raise ValueError(
-                f"amplitudes must be normalized within 1e-12, |.|^2 = {norm_sq!r}")
+                f"amplitudes must be normalized within {AMPLITUDE_NORM_TOL:g}, "
+                f"|.|^2 = {norm_sq!r}")
 
     @property
     def triple(self) -> tuple[complex, complex, complex]:
@@ -150,7 +159,7 @@ def hardy_state(amplitudes: HardyAmplitudes) -> StateVector:
 def _phase_fixed(v: np.ndarray) -> np.ndarray:
     """Rotate so the first nonzero component is real and positive."""
     for x in v:
-        if abs(x) > 1e-12:
+        if abs(x) > PHASE_FIX_FLOOR:
             return v * (np.conj(x) / abs(x))
     raise ValueError("cannot phase-fix the zero vector")
 
@@ -227,7 +236,7 @@ class MeasurementSetting:
             [np.vdot(self.plus, self.plus), np.vdot(self.plus, self.minus)],
             [np.vdot(self.minus, self.plus), np.vdot(self.minus, self.minus)],
         ])
-        if np.abs(gram - identity(2)).max() > 1e-10:
+        if np.abs(gram - identity(2)).max() > SETTING_GRAM_TOL:
             raise ValueError(f"setting {self.name}: outcome pair is not orthonormal")
         self.plus.setflags(write=False)
         self.minus.setflags(write=False)
@@ -294,7 +303,7 @@ def measurement_unitary(setting1: MeasurementSetting,
         mix = q @ np.diag(r.diagonal() / np.abs(r.diagonal()))
     u = b @ a.conj().T + b_perp @ mix @ a_perp.conj().T
     defect = np.abs(u.conj().T @ u - identity(12)).max()
-    if defect > 1e-12:
+    if defect > UNITARITY_TOL:
         raise InternalConsistencyError(
             f"measurement unitary failed unitarity by {defect:.3e}")
     return u

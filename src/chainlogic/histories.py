@@ -26,6 +26,7 @@ from .qm import (
     DensityOperator,
     Projector,
     identity,
+    pair_defects,
 )
 
 NEGATIVITY_FLOOR = 1e-12
@@ -161,7 +162,8 @@ class HistoryFamily:
 
     At each time the projectors appearing across the family must be drawn
     from a single decomposition: pairwise they are either (numerically)
-    identical or orthogonal.
+    identical or orthogonal.  The pair values come from ``qm.pair_defects``,
+    so projectors shared between families are compared only once.
     """
 
     grid: TimeGrid
@@ -178,17 +180,18 @@ class HistoryFamily:
         if self.rho.dim != self.grid.dim:
             raise DimensionMismatchError("initial condition dim differs from grid dim")
         for t in range(1, self.grid.nsteps + 1):
-            distinct: list[tuple[str, np.ndarray]] = []
+            distinct: list[tuple[str, Projector]] = []
             for h in histories:
                 proj = h.events[t - 1].projector
-                if not any(m is proj.matrix for _, m in distinct):
-                    distinct.append((h.events[t - 1].label, proj.matrix))
+                if not any(p.matrix is proj.matrix for _, p in distinct):
+                    distinct.append((h.events[t - 1].label, proj))
             for i in range(len(distinct)):
                 for j in range(i + 1, len(distinct)):
-                    pa, pb = distinct[i][1], distinct[j][1]
-                    if np.abs(pa - pb).max() <= ALGEBRA_TOL:
+                    difference, cross = pair_defects(distinct[i][1],
+                                                     distinct[j][1])
+                    if difference <= ALGEBRA_TOL:
                         continue
-                    if np.abs(pa @ pb).max() > ALGEBRA_TOL:
+                    if cross > ALGEBRA_TOL:
                         raise ValueError(
                             f"projectors {distinct[i][0]!r} and {distinct[j][0]!r} "
                             f"at time index {t} are neither equal nor orthogonal; "

@@ -9,6 +9,7 @@ All functions are pure.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -299,8 +300,39 @@ class ProjectiveDecomposition:
         raise KeyError(label)
 
 
+# Projector -> {other projector -> (max |P - Q|, max |PQ|)}, keyed weakly on
+# both sides so that a memo entry never keeps a projector alive.
+_PAIR_DEFECTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _compute_pair_defects(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+    return float(np.abs(p - q).max()), float(np.abs(p @ q).max())
+
+
+def pair_defects(p: Projector, q: Projector) -> tuple[float, float]:
+    """(max |P - Q|, max |PQ|) for an ordered projector pair.
+
+    Projectors are frozen with read-only matrices, so the pair's values never
+    change: each is computed once per process while both projectors live,
+    and callers compare the raw values against their own tolerance.
+    """
+    row = _PAIR_DEFECTS.get(p)
+    if row is None:
+        row = _PAIR_DEFECTS[p] = weakref.WeakKeyDictionary()
+    found = row.get(q)
+    if found is None:
+        found = row[q] = _compute_pair_defects(p.matrix, q.matrix)
+    return found
+
+
 def _check_pvm(members: Sequence[tuple[str, Projector]], *, atol: float,
                complete: bool) -> None:
+    """Refuse empty, duplicate-labelled, mixed-dimension or non-orthogonal
+    members, and with ``complete`` members that do not sum to the identity.
+
+    Orthogonality reads max |PQ| of each member pair from ``pair_defects``,
+    so a layer of already-checked projectors costs no matrix product.
+    """
     if not members:
         raise PvmCompletenessError("decomposition has no members")
     labels = [label for label, _ in members]
@@ -316,7 +348,7 @@ def _check_pvm(members: Sequence[tuple[str, Projector]], *, atol: float,
                 f"member {label!r} has dim {proj.dim}, expected {dim}")
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            cross = np.abs(members[i][1].matrix @ members[j][1].matrix).max()
+            cross = pair_defects(members[i][1], members[j][1])[1]
             if cross > atol:
                 raise PvmOrthogonalityError(
                     f"members {labels[i]!r} and {labels[j]!r} are not orthogonal "

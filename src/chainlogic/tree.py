@@ -59,6 +59,8 @@ from .qm import (
 BranchPath = tuple[str, ...]
 
 DEFAULT_PRUNE_TOL = 1e-12
+# Largest |sum - 1| accepted for the weights of a classical choice.
+CHOICE_WEIGHT_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class ClassicalChoice:
         if any(w < 0 or not np.isfinite(w) for _, w in members):
             raise ScheduleError("classical choice weights must be finite and >= 0")
         total = sum(w for _, w in members)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > CHOICE_WEIGHT_SUM_TOL:
             raise ScheduleError(f"classical choice weights sum to {total!r}, not 1")
         object.__setattr__(self, "members", members)
 
@@ -178,15 +180,16 @@ class FrameworkTree:
         return self.grid.nsteps
 
     def leaves(self) -> tuple[BranchNode, ...]:
+        """Leaves in pre-order, children left to right; this order fixes the
+        consistency-matrix rows and the exported JSON."""
         out: list[BranchNode] = []
-
-        def walk(node: BranchNode) -> None:
-            if node.is_leaf:
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(reversed(node.children))
+            else:
                 out.append(node)
-            for child in node.children:
-                walk(child)
-
-        walk(self.root)
         return tuple(out)
 
     def leaf_probabilities(self) -> tuple[tuple[BranchPath, float], ...]:
@@ -206,14 +209,12 @@ class FrameworkTree:
     @property
     def choice_time_indices(self) -> tuple[int, ...]:
         found: set[int] = set()
-
-        def walk(node: BranchNode) -> None:
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             if node.is_choice:
                 found.add(node.time_index)
-            for child in node.children:
-                walk(child)
-
-        walk(self.root)
+            stack.extend(node.children)
         return tuple(sorted(found))
 
     def _members_at(self, time_index: int, prefix: BranchPath) -> tuple[_Member, ...]:
@@ -264,36 +265,43 @@ def build_tree(grid: TimeGrid, schedule: Sequence[LayerLike],
 
     resolved: dict[BranchPath, tuple[_Member, ...]] = {}
     root_state = rho.factor
-
-    def grow(time_index: int, label: str | None, projector: Projector | None,
-             weight: float, path: BranchPath, state: np.ndarray,
-             prob: float) -> BranchNode:
-        children: tuple[BranchNode, ...] = ()
-        if time_index < grid.nsteps:
-            members = resolved[path] = _as_members(schedule[time_index], path,
-                                                   grid.dim)
-            evolution = grid.evolution(time_index + 1)
-            grown = []
-            captured = 0.0
-            for member in members:
-                child_state, child_prob = _apply_member(state, evolution, member)
-                grown.append(grow(time_index + 1, member.label, member.projector,
-                                  member.weight, path + (member.label,),
-                                  child_state, child_prob))
-                captured += child_prob
-            residual = prob - captured
-            if residual > residual_tol:
-                raise ScheduleError(
-                    f"schedule members at time index {time_index + 1} leave "
-                    f"probability {residual:.3e} unaccounted on branch {path!r}")
-            children = tuple(grown)
-        return BranchNode(time_index=time_index, label=label, projector=projector,
-                          weight=weight, path=path, prob=prob, children=children,
-                          state=state)
-
-    root = grow(0, None, None, 1.0, (), root_state,
-                float(np.vdot(root_state, root_state).real))
+    root = _grow(grid, schedule, resolved, residual_tol, (), None, root_state,
+                 float(np.vdot(root_state, root_state).real))
     return FrameworkTree(grid=grid, rho=rho, root=root, resolved=resolved)
+
+
+def _grow(grid: TimeGrid, schedule: Sequence[LayerLike],
+          resolved: dict[BranchPath, tuple[_Member, ...]], residual_tol: float,
+          path: BranchPath, member: _Member | None, state: np.ndarray,
+          prob: float) -> BranchNode:
+    """The node ``member`` opens at ``path`` (the root for None), grown to
+    full depth; each path's members are resolved into ``resolved``, parents
+    before children.  Module-level rather than a closure, so a built tree
+    holds no reference cycle and is freed as soon as it is dropped."""
+    time_index = len(path)
+    children: tuple[BranchNode, ...] = ()
+    if time_index < grid.nsteps:
+        members = resolved[path] = _as_members(schedule[time_index], path,
+                                               grid.dim)
+        evolution = grid.evolution(time_index + 1)
+        grown = []
+        captured = 0.0
+        for nxt in members:
+            child_state, child_prob = _apply_member(state, evolution, nxt)
+            grown.append(_grow(grid, schedule, resolved, residual_tol,
+                               path + (nxt.label,), nxt, child_state, child_prob))
+            captured += child_prob
+        residual = prob - captured
+        if residual > residual_tol:
+            raise ScheduleError(
+                f"schedule members at time index {time_index + 1} leave "
+                f"probability {residual:.3e} unaccounted on branch {path!r}")
+        children = tuple(grown)
+    label, projector, weight = ((None, None, 1.0) if member is None else
+                                (member.label, member.projector, member.weight))
+    return BranchNode(time_index=time_index, label=label, projector=projector,
+                      weight=weight, path=path, prob=prob, children=children,
+                      state=state)
 
 
 def prune_zero_branches(tree: FrameworkTree,
@@ -304,23 +312,7 @@ def prune_zero_branches(tree: FrameworkTree,
     branch paths are recorded with their weights.  Idempotent.
     """
     removed: list[PrunedBranch] = []
-
-    def rebuild(node: BranchNode) -> BranchNode | None:
-        if node.label is not None and node.prob < tol:
-            removed.append(PrunedBranch(path=node.path, weight=node.prob))
-            return None
-        kept = tuple(c for c in (rebuild(child) for child in node.children)
-                     if c is not None)
-        if node.children and not kept and node.label is not None:
-            # all continuations vanished; the branch itself is unreachable
-            removed.append(PrunedBranch(path=node.path, weight=node.prob))
-            return None
-        return BranchNode(time_index=node.time_index, label=node.label,
-                          projector=node.projector, weight=node.weight,
-                          path=node.path, prob=node.prob, children=kept,
-                          state=node.state)
-
-    root = rebuild(tree.root)
+    root = _rebuild(tree.root, tol, removed)
     if root is None:  # total weight below tolerance cannot happen for unit rho
         raise FrameworkViolationError("pruning removed the entire tree")
     return FrameworkTree(grid=tree.grid, rho=tree.rho, root=root,
@@ -328,7 +320,29 @@ def prune_zero_branches(tree: FrameworkTree,
                          pruned=tree.pruned + tuple(removed), prune_tol=tol)
 
 
-def _leaf_history(tree: FrameworkTree, leaf: BranchNode) -> History:
+def _rebuild(node: BranchNode, tol: float,
+             removed: list[PrunedBranch]) -> BranchNode | None:
+    """``node`` without its sub-``tol`` branches, or None when it goes too;
+    removed paths are appended to ``removed`` in pre-order."""
+    if node.label is not None and node.prob < tol:
+        removed.append(PrunedBranch(path=node.path, weight=node.prob))
+        return None
+    kept = tuple(c for c in (_rebuild(child, tol, removed)
+                             for child in node.children) if c is not None)
+    if node.children and not kept and node.label is not None:
+        # all continuations vanished; the branch itself is unreachable
+        removed.append(PrunedBranch(path=node.path, weight=node.prob))
+        return None
+    return BranchNode(time_index=node.time_index, label=node.label,
+                      projector=node.projector, weight=node.weight,
+                      path=node.path, prob=node.prob, children=kept,
+                      state=node.state)
+
+
+def _leaf_history(tree: FrameworkTree, leaf: BranchNode,
+                  no_event: Projector | None) -> History:
+    """The leaf's branch as a history; ``no_event`` (one identity projector
+    shared by the whole tree) stands in for each classical choice."""
     nodes: dict[int, BranchNode] = {}
     node = tree.root
     for label in leaf.path:
@@ -338,7 +352,7 @@ def _leaf_history(tree: FrameworkTree, leaf: BranchNode) -> History:
     for t in range(1, tree.grid.nsteps + 1):
         branch = nodes[t]
         projector = branch.projector if branch.projector is not None \
-            else identity_projector(tree.dim)
+            else no_event
         events.append(HistoryEvent(time_index=t, label=branch.label,
                                    projector=projector))
     return History(grid=tree.grid, events=tuple(events))
@@ -350,7 +364,7 @@ def to_history_family(tree: FrameworkTree) -> HistoryFamily:
         raise ValueError(
             "tree has classically weighted branches; its quantum content is "
             "blockwise, use tree_consistency instead")
-    histories = tuple(_leaf_history(tree, leaf) for leaf in tree.leaves())
+    histories = tuple(_leaf_history(tree, leaf, None) for leaf in tree.leaves())
     return HistoryFamily(grid=tree.grid, rho=tree.rho, histories=histories)
 
 
@@ -390,10 +404,12 @@ def tree_consistency(tree: FrameworkTree,
     worst: tuple[BranchPath, int, int, float] | None = None
     worst_paths: tuple[BranchPath, BranchPath] | None = None
     consistent = True
+    no_event = identity_projector(tree.dim) if choice_times else None
     for key in sorted(groups):
         family = HistoryFamily(
             grid=tree.grid, rho=tree.rho,
-            histories=tuple(_leaf_history(tree, leaf) for leaf in groups[key]))
+            histories=tuple(_leaf_history(tree, leaf, no_event)
+                            for leaf in groups[key]))
         report = consistency_matrix(family, tol)
         blocks.append((key, report))
         consistent = consistent and report.consistent
@@ -507,47 +523,49 @@ class TreeDocument:
 def tree_document(tree: FrameworkTree) -> TreeDocument:
     """Serializable snapshot of the tree, pruned branches flagged in place."""
     pruned_map = {p.path: p.weight for p in tree.pruned}
-
-    def node_doc(node: BranchNode) -> TreeNodeDocument:
-        children: list[TreeNodeDocument] = []
-        if node.time_index < tree.depth:
-            present = {child.label: child for child in node.children}
-            for label in tree.member_labels(node.time_index + 1, node.path):
-                if label in present:
-                    children.append(node_doc(present[label]))
-                else:
-                    stub_path = node.path + (label,)
-                    if stub_path in pruned_map:
-                        children.append(TreeNodeDocument(
-                            label=label,
-                            time=tree.grid.times[node.time_index + 1],
-                            probability=pruned_map[stub_path],
-                            pruned=True, children=()))
-        return TreeNodeDocument(
-            label=node.label, time=tree.grid.times[node.time_index],
-            probability=node.prob, pruned=False, children=tuple(children))
-
     return TreeDocument(schema=TREE_SCHEMA_VERSION, kind="framework-tree",
                         dim=tree.dim, times=tree.grid.times,
-                        root=node_doc(tree.root))
+                        root=_node_doc(tree, pruned_map, tree.root))
+
+
+def _node_doc(tree: FrameworkTree, pruned_map: dict[BranchPath, float],
+              node: BranchNode) -> TreeNodeDocument:
+    children: list[TreeNodeDocument] = []
+    if node.time_index < tree.depth:
+        present = {child.label: child for child in node.children}
+        for label in tree.member_labels(node.time_index + 1, node.path):
+            if label in present:
+                children.append(_node_doc(tree, pruned_map, present[label]))
+            else:
+                stub_path = node.path + (label,)
+                if stub_path in pruned_map:
+                    children.append(TreeNodeDocument(
+                        label=label,
+                        time=tree.grid.times[node.time_index + 1],
+                        probability=pruned_map[stub_path],
+                        pruned=True, children=()))
+    return TreeNodeDocument(
+        label=node.label, time=tree.grid.times[node.time_index],
+        probability=node.prob, pruned=False, children=tuple(children))
+
+
+def _node_obj(node: TreeNodeDocument) -> dict:
+    return {
+        "label": node.label,
+        "time": node.time,
+        "probability": node.probability,
+        "pruned": node.pruned,
+        "children": [_node_obj(c) for c in node.children],
+    }
 
 
 def _doc_to_json_obj(doc: TreeDocument) -> dict:
-    def node_obj(node: TreeNodeDocument) -> dict:
-        return {
-            "label": node.label,
-            "time": node.time,
-            "probability": node.probability,
-            "pruned": node.pruned,
-            "children": [node_obj(c) for c in node.children],
-        }
-
     return {
         "schema": doc.schema,
         "kind": doc.kind,
         "dim": doc.dim,
         "times": list(doc.times),
-        "root": node_obj(doc.root),
+        "root": _node_obj(doc.root),
     }
 
 
@@ -557,16 +575,17 @@ def import_tree_json(text: str) -> TreeDocument:
     if data.get("schema") != TREE_SCHEMA_VERSION or data.get("kind") != "framework-tree":
         raise ValueError("not a framework-tree document of a supported schema")
 
-    def node_from(obj: dict) -> TreeNodeDocument:
-        return TreeNodeDocument(
-            label=obj["label"], time=float(obj["time"]),
-            probability=float(obj["probability"]), pruned=bool(obj["pruned"]),
-            children=tuple(node_from(c) for c in obj["children"]))
-
     return TreeDocument(schema=int(data["schema"]), kind=str(data["kind"]),
                         dim=int(data["dim"]),
                         times=tuple(float(t) for t in data["times"]),
-                        root=node_from(data["root"]))
+                        root=_node_from(data["root"]))
+
+
+def _node_from(obj: dict) -> TreeNodeDocument:
+    return TreeNodeDocument(
+        label=obj["label"], time=float(obj["time"]),
+        probability=float(obj["probability"]), pruned=bool(obj["pruned"]),
+        children=tuple(_node_from(c) for c in obj["children"]))
 
 
 def export_tree(tree: FrameworkTree, fmt: str = "dot") -> str:
@@ -583,10 +602,11 @@ def export_tree(tree: FrameworkTree, fmt: str = "dot") -> str:
 
     lines = ["digraph framework_tree {", "  rankdir=LR;",
              '  node [shape=box, fontname="monospace"];']
+    # pre-order, children left to right; ids count nodes in that order
+    stack: list[tuple[TreeNodeDocument, str | None]] = [(doc.root, None)]
     counter = 0
-
-    def emit(node: TreeNodeDocument, parent_id: str | None) -> None:
-        nonlocal counter
+    while stack:
+        node, parent_id = stack.pop()
         node_id = f"n{counter}"
         counter += 1
         name = node.label if node.label is not None else "start"
@@ -596,9 +616,6 @@ def export_tree(tree: FrameworkTree, fmt: str = "dot") -> str:
         if parent_id is not None:
             edge_style = " [style=dashed]" if node.pruned else ""
             lines.append(f"  {parent_id} -> {node_id}{edge_style};")
-        for child in node.children:
-            emit(child, node_id)
-
-    emit(doc.root, None)
+        stack.extend((child, node_id) for child in reversed(node.children))
     lines.append("}")
     return "\n".join(lines) + "\n"

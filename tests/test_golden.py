@@ -1,9 +1,10 @@
 """Byte-for-byte comparison of CLI reports against recorded outputs.
 
 ``tests/golden/<config>.<command>.json`` holds the stdout of one
-subcommand run on one sample config from ``configs/``.  Any difference is
-a change in user-visible output; re-record a file only when that change is
-deliberate.
+subcommand run on one sample config from ``configs/``; the files named in
+``STANDALONE`` hold the stdout of commands that read no config.  Any
+difference is a change in user-visible output; re-record a file only when
+that change is deliberate.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from chainlogic.cli import EXIT_OK, TOL_ENV_VAR, main
+from chainlogic.cli import EXIT_INCONSISTENT, EXIT_OK, TOL_ENV_VAR, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -24,6 +25,15 @@ COMMANDS = {
     "counterfactual": ("counterfactual", "--both", "--json"),
     "consistency": ("consistency", "--json"),
     "export": ("export", "--format", "json"),
+}
+# golden file stem -> (argv, expected exit code)
+STANDALONE = {
+    "demo_xzx.consistency": (("consistency", "--demo", "xzx", "--json"),
+                             EXIT_INCONSISTENT),
+    "symmetric_outer.sweep": (("sweep", "--family", "symmetric_outer",
+                               "--format", "json"), EXIT_OK),
+    "particle.maximize_s4": (("sweep", "--maximize-s4", "--format", "json"),
+                             EXIT_OK),
 }
 
 
@@ -37,3 +47,13 @@ def test_report_matches_golden(capsys, monkeypatch, config, command):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.encode() == (GOLDEN / f"{config}.{command}.json").read_bytes()
+
+
+@pytest.mark.parametrize("stem", sorted(STANDALONE))
+def test_standalone_report_matches_golden(capsys, monkeypatch, stem):
+    monkeypatch.delenv(TOL_ENV_VAR, raising=False)
+    argv, expected_code = STANDALONE[stem]
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == expected_code
+    assert out.encode() == (GOLDEN / f"{stem}.json").read_bytes()

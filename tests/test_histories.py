@@ -251,6 +251,21 @@ class TestFamilyValidation:
                           rho=DensityOperator.from_state(basis_state(2, 0)),
                           histories=histories)
 
+    def test_verdicts_hold_for_memoized_pairs(self):
+        grid = qubit_grid(1)
+        rho = DensityOperator.from_state(basis_state(2, 0))
+        tilted = np.array([np.cos(0.3), np.sin(0.3)])
+        bad = (history_of(grid, Z_PLUS, labels=("z+",)),
+               history_of(grid, tilted, labels=("t",)))
+        # distinct projector objects with equal matrices count as one event
+        good = (history_of(grid, Z_PLUS, labels=("z+",)),
+                history_of(grid, Z_PLUS, labels=("z+",)),
+                history_of(grid, Z_MINUS, labels=("z-",)))
+        for _ in range(2):  # computed, then read from the memo
+            with pytest.raises(ValueError, match="neither equal nor orthogonal"):
+                HistoryFamily(grid=grid, rho=rho, histories=bad)
+            assert len(HistoryFamily(grid=grid, rho=rho, histories=good)) == 3
+
     def test_dim_mismatch(self):
         grid = qubit_grid(1)
         history = history_of(grid, Z_PLUS)

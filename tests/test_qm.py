@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +15,12 @@ from chainlogic.errors import (
     PvmCompletenessError,
     PvmOrthogonalityError,
 )
-from chainlogic.hardy import HardyAmplitudes, hardy_state
+from chainlogic import qm
+from chainlogic.hardy import (
+    HardyAmplitudes,
+    build_measurement_scenario,
+    hardy_state,
+)
 from chainlogic.qm import (
     DensityOperator,
     ProjectiveDecomposition,
@@ -25,6 +33,7 @@ from chainlogic.qm import (
     identity,
     identity_projector,
     outer,
+    pair_defects,
     projector_from_span,
     projector_onto,
     tensor_product,
@@ -228,6 +237,54 @@ class TestProjectiveDecomposition:
             validate_pvm([("up", Projector(np.diag([1.0, 0.0])))])
         with pytest.raises(PvmCompletenessError):
             ProjectiveDecomposition(())
+
+
+def tilted(angle: float) -> Projector:
+    return Projector(outer(np.array([np.cos(angle), np.sin(angle)])))
+
+
+class TestPairDefects:
+    def test_values_match_direct_computation(self):
+        p, q = tilted(0.3), tilted(1.1)
+        difference, cross = pair_defects(p, q)
+        assert difference == np.abs(p.matrix - q.matrix).max()
+        assert cross == np.abs(p.matrix @ q.matrix).max()
+        assert pair_defects(p, q) == (difference, cross)
+        assert pair_defects(q, p)[1] == np.abs(q.matrix @ p.matrix).max()
+
+    def test_repeated_apparatus_build_computes_no_pair(self, monkeypatch):
+        build_measurement_scenario(HardyAmplitudes.equal(), mode="apparatus")
+        computed = []
+        compute = qm._compute_pair_defects
+
+        def spy(p, q):
+            computed.append((p, q))
+            return compute(p, q)
+
+        monkeypatch.setattr(qm, "_compute_pair_defects", spy)
+        build_measurement_scenario(
+            HardyAmplitudes.from_unnormalized(0.6, 0.5, 0.4), mode="apparatus")
+        assert computed == []
+
+    def test_memo_holds_no_projector_alive(self):
+        p, q, r = tilted(0.2), tilted(0.7), tilted(1.3)
+        pair_defects(p, q)
+        pair_defects(q, r)
+        entries = len(qm._PAIR_DEFECTS)
+        dead_p, dead_r = weakref.ref(p), weakref.ref(r)
+        del p, r
+        gc.collect()
+        assert dead_p() is None and dead_r() is None
+        assert len(qm._PAIR_DEFECTS) == entries - 1
+        assert len(qm._PAIR_DEFECTS[q]) == 0
+
+    def test_orthogonality_error_reports_the_same_value(self):
+        up, diag = Projector(np.diag([1.0, 0.0])), tilted(np.pi / 4)
+        expected = f"(max |PQ| = {np.abs(up.matrix @ diag.matrix).max():.3e})"
+        for _ in range(2):  # computed, then read from the memo
+            with pytest.raises(PvmOrthogonalityError) as info:
+                validate_pvm([("up", up), ("diag", diag)])
+            assert str(info.value).endswith(expected)
 
 
 class TestTensorAndEmbed:

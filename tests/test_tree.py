@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
 import pytest
 
+from chainlogic.counterfactual import locality_report
 from chainlogic.errors import (
     DuplicateLabelError,
     PvmOrthogonalityError,
     ScheduleError,
+)
+from chainlogic.hardy import (
+    HardyAmplitudes,
+    build_measurement_scenario,
+    hardy_settings,
+    hardy_state,
 )
 from chainlogic.histories import TimeGrid
 from chainlogic.qm import (
@@ -19,7 +27,9 @@ from chainlogic.qm import (
     outer,
 )
 from chainlogic.tree import (
+    BranchNode,
     ClassicalChoice,
+    FrameworkTree,
     build_tree,
     check_compatibility,
     enforce_single_framework,
@@ -362,3 +372,39 @@ class TestExport:
     def test_import_rejects_other_documents(self):
         with pytest.raises(ValueError):
             import_tree_json(json.dumps({"schema": 1, "kind": "other"}))
+
+
+class TestRefcountFreeing:
+    """Built trees and their traversals leave no reference cycles, so a
+    dropped scenario is freed by refcounting, not by the cyclic collector."""
+
+    @staticmethod
+    def scenarios():
+        amplitudes = HardyAmplitudes.from_unnormalized(0.6, 0.5 + 0.2j, 0.4)
+        pure = hardy_state(amplitudes).amps
+        mixed = DensityOperator(0.95 * np.outer(pure, pure.conj())
+                                + 0.05 * np.eye(4) / 4.0)
+        yield build_measurement_scenario(amplitudes, mode="apparatus")
+        yield build_measurement_scenario(state=mixed,
+                                         settings=hardy_settings(amplitudes),
+                                         mode="apparatus")
+
+    def test_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for scenario in self.scenarios():
+                locality_report(scenario)
+                export_tree(scenario.tree, "json")
+                export_tree(scenario.tree, "dot")
+                del scenario
+            gc.collect()
+            kinds = (FrameworkTree, BranchNode, TimeGrid, DensityOperator)
+            leaked = sorted(type(obj).__name__ for obj in gc.garbage
+                            if isinstance(obj, kinds))
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []
