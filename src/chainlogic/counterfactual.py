@@ -203,8 +203,8 @@ def _counterfactual_outcomes(tree: FrameworkTree, pivot: PivotPath,
             f"alternative {query.alternative!r} is not offered at time index "
             f"{query.pivot_time} under branch {pivot.path!r}",
             path=pivot.path) from None
-    state, prob = _apply_member(node.state, tree.grid.evolution(query.pivot_time),
-                                member)
+    state, _, prob = _apply_member(
+        node.state, tree.grid.evolution(query.pivot_time), member)
     completions: list[tuple[tuple[str, ...], float]] = []
     _descend(tree, query.pivot_time, pivot.path + (query.alternative,), state,
              prob, (), completions)
@@ -229,7 +229,7 @@ def _descend(tree: FrameworkTree, time_index: int, path: BranchPath,
         completions.append((suffix, prob))
         return
     for nxt in tree.resolved[path]:
-        child_state, child_prob = _apply_member(
+        child_state, _, child_prob = _apply_member(
             state, tree.grid.evolution(time_index + 1), nxt)
         _descend(tree, time_index + 1, path + (nxt.label,), child_state,
                  child_prob, suffix + (nxt.label,), completions)

@@ -11,7 +11,7 @@ tolerance, in magnitude) for the family to count as a single framework.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -125,10 +125,7 @@ class History:
 
 def chain_operator(history: History) -> np.ndarray:
     """P_f U(f,f-1) ... P_1 U(1,0) as a dense matrix."""
-    out = identity(history.grid.dim)
-    for ev in history.events:
-        out = ev.projector.matrix @ (history.grid.evolution(ev.time_index) @ out)
-    return out
+    return chain_apply(history, identity(history.grid.dim))
 
 
 def chain_apply(history: History, vector: np.ndarray) -> np.ndarray:
@@ -156,6 +153,26 @@ def history_probability(history: History, rho: DensityOperator) -> float:
     return _clamped_probability(float(np.vdot(branch, branch).real))
 
 
+def decomposition_at(t: int, events: Iterable[tuple[str, Projector]]
+                     ) -> list[tuple[str, Projector]]:
+    """The distinct projectors (by matrix object) among the labeled ``events``
+    at time index ``t``, each with the first label it came with; raises
+    ``ValueError`` unless they are pairwise (numerically) equal or orthogonal."""
+    distinct: list[tuple[str, Projector]] = []
+    for label, proj in events:
+        if not any(p.matrix is proj.matrix for _, p in distinct):
+            distinct.append((label, proj))
+    for i, (label_a, a) in enumerate(distinct):
+        for label_b, b in distinct[i + 1:]:
+            difference, cross = pair_defects(a, b)
+            if difference > ALGEBRA_TOL and cross > ALGEBRA_TOL:
+                raise ValueError(
+                    f"projectors {label_a!r} and {label_b!r} at time index {t} "
+                    "are neither equal nor orthogonal; the family does not "
+                    "come from one decomposition")
+    return distinct
+
+
 @dataclass(frozen=True, eq=False)
 class HistoryFamily:
     """Histories over one grid and one initial condition.
@@ -179,23 +196,8 @@ class HistoryFamily:
                 raise ValueError("all histories must share the family grid")
         if self.rho.dim != self.grid.dim:
             raise DimensionMismatchError("initial condition dim differs from grid dim")
-        for t in range(1, self.grid.nsteps + 1):
-            distinct: list[tuple[str, Projector]] = []
-            for h in histories:
-                proj = h.events[t - 1].projector
-                if not any(p.matrix is proj.matrix for _, p in distinct):
-                    distinct.append((h.events[t - 1].label, proj))
-            for i in range(len(distinct)):
-                for j in range(i + 1, len(distinct)):
-                    difference, cross = pair_defects(distinct[i][1],
-                                                     distinct[j][1])
-                    if difference <= ALGEBRA_TOL:
-                        continue
-                    if cross > ALGEBRA_TOL:
-                        raise ValueError(
-                            f"projectors {distinct[i][0]!r} and {distinct[j][0]!r} "
-                            f"at time index {t} are neither equal nor orthogonal; "
-                            "the family does not come from one decomposition")
+        for t, events in enumerate(zip(*(h.events for h in histories)), start=1):
+            decomposition_at(t, ((ev.label, ev.projector) for ev in events))
         object.__setattr__(self, "histories", histories)
 
     def __len__(self) -> int:
@@ -234,9 +236,15 @@ def consistency_matrix(family: HistoryFamily,
     ones).  A single-history family is trivially consistent.  With
     rho = A A^dagger each entry is Tr((F_g A)^dagger (F_k A)).
     """
-    k = len(family.histories)
-    branches = np.array([chain_apply(h, family.rho.factor)
-                         for h in family.histories]).reshape(k, -1)
+    return gram_consistency([chain_apply(h, family.rho.factor)
+                             for h in family.histories], tol)
+
+
+def gram_consistency(kets: Sequence[np.ndarray],
+                     tol: float = SPECTRAL_TOL) -> ConsistencyReport:
+    """``consistency_matrix`` from the chain kets F_g A, one per history."""
+    k = len(kets)
+    branches = np.array(kets).reshape(k, -1)
     matrix = branches.conj() @ branches.T
     worst: tuple[int, int, float] | None = None
     if k > 1:

@@ -19,7 +19,8 @@ Node states are unnormalized square-root factors, not density matrices: a
 branch's operator is state state^dagger, grown from ``rho.factor`` (a vector
 for a pure state, one column per rank otherwise) and scaled by sqrt-weights
 of classical choices, so a leaf's probability is the classical weight
-product times the Born weight of its quantum events.
+product times the Born weight of its quantum events; its chain ket, grown
+alike without the weights, gives ``tree_consistency`` its matrices.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from .histories import (
     HistoryEvent,
     HistoryFamily,
     TimeGrid,
-    consistency_matrix,
+    decomposition_at,
+    gram_consistency,
 )
 from .qm import (
     ALGEBRA_TOL,
@@ -125,6 +127,10 @@ class BranchNode:
     ``state`` is the unnormalized branch factor at this node's time, after the
     node's own event: the branch operator is state state^dagger, with one
     column per rank of a mixed initial condition.  ``prob`` is its weight.
+    ``ket`` is the chain ket: the same propagation without the sqrt-weights,
+    which would round differently if divided out of ``state`` afterwards (a
+    choice event acts as the identity).  It is ``state`` itself, one array,
+    on every node with no weight other than 1 above it.
     """
 
     time_index: int
@@ -135,6 +141,7 @@ class BranchNode:
     prob: float
     children: tuple["BranchNode", ...]
     state: np.ndarray = field(repr=False)
+    ket: np.ndarray = field(repr=False)
 
     @property
     def is_choice(self) -> bool:
@@ -236,14 +243,21 @@ class FrameworkTree:
         raise KeyError(label)
 
 
-def _apply_member(state: np.ndarray, evolution: np.ndarray,
-                  member: _Member) -> tuple[np.ndarray, float]:
-    """Propagate an unnormalized branch factor through one event."""
-    nxt = evolution @ state
-    if member.projector is not None:
-        nxt = member.projector.matrix @ nxt
-    nxt = np.sqrt(member.weight) * nxt
-    return nxt, float(np.vdot(nxt, nxt).real)
+def _chain_step(x: np.ndarray, evolution: np.ndarray, member: _Member) -> np.ndarray:
+    x = evolution @ x
+    return x if member.projector is None else member.projector.matrix @ x
+
+
+def _apply_member(state: np.ndarray, evolution: np.ndarray, member: _Member,
+                  ket: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+    """Propagate a branch factor and its ket (default: the factor) through one
+    event into (state, ket, prob); state stays ket until a weight other than 1 applies."""
+    ket = state if ket is None else ket
+    nxt_ket = _chain_step(ket, evolution, member)
+    nxt = nxt_ket if state is ket else _chain_step(state, evolution, member)
+    if member.weight != 1.0:
+        nxt = np.sqrt(member.weight) * nxt
+    return nxt, nxt_ket, float(np.vdot(nxt, nxt).real)
 
 
 def build_tree(grid: TimeGrid, schedule: Sequence[LayerLike],
@@ -266,14 +280,14 @@ def build_tree(grid: TimeGrid, schedule: Sequence[LayerLike],
     resolved: dict[BranchPath, tuple[_Member, ...]] = {}
     root_state = rho.factor
     root = _grow(grid, schedule, resolved, residual_tol, (), None, root_state,
-                 float(np.vdot(root_state, root_state).real))
+                 root_state, float(np.vdot(root_state, root_state).real))
     return FrameworkTree(grid=grid, rho=rho, root=root, resolved=resolved)
 
 
 def _grow(grid: TimeGrid, schedule: Sequence[LayerLike],
           resolved: dict[BranchPath, tuple[_Member, ...]], residual_tol: float,
           path: BranchPath, member: _Member | None, state: np.ndarray,
-          prob: float) -> BranchNode:
+          ket: np.ndarray, prob: float) -> BranchNode:
     """The node ``member`` opens at ``path`` (the root for None), grown to
     full depth; each path's members are resolved into ``resolved``, parents
     before children.  Module-level rather than a closure, so a built tree
@@ -287,10 +301,10 @@ def _grow(grid: TimeGrid, schedule: Sequence[LayerLike],
         grown = []
         captured = 0.0
         for nxt in members:
-            child_state, child_prob = _apply_member(state, evolution, nxt)
-            grown.append(_grow(grid, schedule, resolved, residual_tol,
-                               path + (nxt.label,), nxt, child_state, child_prob))
-            captured += child_prob
+            child = _grow(grid, schedule, resolved, residual_tol, path + (nxt.label,),
+                          nxt, *_apply_member(state, evolution, nxt, ket))
+            grown.append(child)
+            captured += child.prob
         residual = prob - captured
         if residual > residual_tol:
             raise ScheduleError(
@@ -301,7 +315,7 @@ def _grow(grid: TimeGrid, schedule: Sequence[LayerLike],
                                 (member.label, member.projector, member.weight))
     return BranchNode(time_index=time_index, label=label, projector=projector,
                       weight=weight, path=path, prob=prob, children=children,
-                      state=state)
+                      state=state, ket=ket)
 
 
 def prune_zero_branches(tree: FrameworkTree,
@@ -336,26 +350,20 @@ def _rebuild(node: BranchNode, tol: float,
     return BranchNode(time_index=node.time_index, label=node.label,
                       projector=node.projector, weight=node.weight,
                       path=node.path, prob=node.prob, children=kept,
-                      state=node.state)
+                      state=node.state, ket=node.ket)
 
 
-def _leaf_history(tree: FrameworkTree, leaf: BranchNode,
-                  no_event: Projector | None) -> History:
-    """The leaf's branch as a history; ``no_event`` (one identity projector
-    shared by the whole tree) stands in for each classical choice."""
-    nodes: dict[int, BranchNode] = {}
-    node = tree.root
-    for label in leaf.path:
-        node = next(c for c in node.children if c.label == label)
-        nodes[node.time_index] = node
-    events = []
-    for t in range(1, tree.grid.nsteps + 1):
-        branch = nodes[t]
-        projector = branch.projector if branch.projector is not None \
-            else no_event
-        events.append(HistoryEvent(time_index=t, label=branch.label,
-                                   projector=projector))
-    return History(grid=tree.grid, events=tuple(events))
+def _leaf_chains(tree: FrameworkTree) -> list[tuple[BranchNode, ...]]:
+    """Each leaf's path as nodes below the root, in ``leaves`` order."""
+    out: list[tuple[BranchNode, ...]] = []
+    stack: list[tuple[BranchNode, tuple[BranchNode, ...]]] = [(tree.root, ())]
+    while stack:
+        node, chain = stack.pop()
+        if node.children:
+            stack.extend((c, chain + (c,)) for c in reversed(node.children))
+        else:
+            out.append(chain)
+    return out
 
 
 def to_history_family(tree: FrameworkTree) -> HistoryFamily:
@@ -364,7 +372,9 @@ def to_history_family(tree: FrameworkTree) -> HistoryFamily:
         raise ValueError(
             "tree has classically weighted branches; its quantum content is "
             "blockwise, use tree_consistency instead")
-    histories = tuple(_leaf_history(tree, leaf, None) for leaf in tree.leaves())
+    histories = tuple(History(grid=tree.grid, events=tuple(
+        HistoryEvent(time_index=n.time_index, label=n.label, projector=n.projector)
+        for n in chain)) for chain in _leaf_chains(tree))
     return HistoryFamily(grid=tree.grid, rho=tree.rho, histories=histories)
 
 
@@ -394,30 +404,31 @@ class TreeConsistencyReport:
 
 def tree_consistency(tree: FrameworkTree,
                      tol: float = SPECTRAL_TOL) -> TreeConsistencyReport:
+    """Per block of leaves with the same classical choices, the Gram matrix of
+    their kets: bit for bit ``consistency_matrix`` of the leaf histories (an
+    identity event at each choice), one-decomposition check included."""
     choice_times = set(tree.choice_time_indices)
-    groups: dict[BranchPath, list[BranchNode]] = {}
-    for leaf in tree.leaves():
-        key = tuple(label for t, label in enumerate(leaf.path, start=1)
-                    if t in choice_times)
-        groups.setdefault(key, []).append(leaf)
+    groups: dict[BranchPath, list[tuple[BranchNode, ...]]] = {}
+    for chain in _leaf_chains(tree):
+        key = tuple(n.label for n in chain if n.time_index in choice_times)
+        groups.setdefault(key, []).append(chain)
     blocks = []
     worst: tuple[BranchPath, int, int, float] | None = None
     worst_paths: tuple[BranchPath, BranchPath] | None = None
     consistent = True
     no_event = identity_projector(tree.dim) if choice_times else None
     for key in sorted(groups):
-        family = HistoryFamily(
-            grid=tree.grid, rho=tree.rho,
-            histories=tuple(_leaf_history(tree, leaf, no_event)
-                            for leaf in groups[key]))
-        report = consistency_matrix(family, tol)
+        chains = groups[key]
+        for t, nodes in enumerate(zip(*chains), start=1):
+            decomposition_at(t, ((n.label, n.projector or no_event) for n in nodes))
+        report = gram_consistency([c[-1].ket for c in chains], tol)
         blocks.append((key, report))
         consistent = consistent and report.consistent
         if report.worst_offdiagonal is not None:
             g, k, magnitude = report.worst_offdiagonal
             if worst is None or magnitude > worst[3]:
                 worst = (key, g, k, magnitude)
-                worst_paths = (groups[key][g].path, groups[key][k].path)
+                worst_paths = (chains[g][-1].path, chains[k][-1].path)
     return TreeConsistencyReport(blocks=tuple(blocks), tol=tol,
                                  consistent=consistent, worst=worst,
                                  worst_paths=worst_paths)
@@ -447,18 +458,14 @@ def check_compatibility(family_a: HistoryFamily, family_b: HistoryFamily,
     if family_a.grid.dim != family_b.grid.dim:
         raise DimensionMismatchError("families live in different spaces")
 
-    def distinct_at(family: HistoryFamily, t: int) -> list[tuple[str, np.ndarray]]:
-        out: list[tuple[str, np.ndarray]] = []
-        for h in family.histories:
-            ev = h.events[t - 1]
-            if not any(m is ev.projector.matrix for _, m in out):
-                out.append((ev.label, ev.projector.matrix))
-        return out
+    def distinct_at(family: HistoryFamily, t: int) -> list[tuple[str, Projector]]:
+        events = (h.events[t - 1] for h in family.histories)
+        return decomposition_at(t, ((ev.label, ev.projector) for ev in events))
 
     for t in range(1, family_a.grid.nsteps + 1):
         for label_a, pa in distinct_at(family_a, t):
             for label_b, pb in distinct_at(family_b, t):
-                defect = commutator_norm(pa, pb)
+                defect = commutator_norm(pa.matrix, pb.matrix)
                 if defect > atol:
                     return CompatibilityResult(
                         compatible=False,

@@ -1,7 +1,7 @@
 """Byte-for-byte comparison of CLI reports against recorded outputs.
 
-``tests/golden/<config>.<command>.json`` holds the stdout of one
-subcommand run on one sample config from ``configs/``; the files named in
+``tests/golden/<config>.<name>`` holds the stdout of one subcommand in
+``COMMANDS`` run on one sample config from ``configs/``; the files named in
 ``STANDALONE`` hold the stdout of commands that read no config.  Any
 difference is a change in user-visible output; re-record a file only when
 that change is deliberate.
@@ -20,11 +20,16 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CONFIGS = ("biased_choices", "equal_apparatus", "equal_particle",
            "suppressed_outcome")
+# test id -> (argv, golden file name after the config)
 COMMANDS = {
-    "hardy": ("hardy", "--json"),
-    "counterfactual": ("counterfactual", "--both", "--json"),
-    "consistency": ("consistency", "--json"),
-    "export": ("export", "--format", "json"),
+    "hardy": (("hardy", "--json"), "hardy.json"),
+    "counterfactual": (("counterfactual", "--both", "--json"),
+                       "counterfactual.json"),
+    "consistency": (("consistency", "--json"), "consistency.json"),
+    "export": (("export", "--format", "json"), "export.json"),
+    "export_no_prune": (("export", "--format", "json", "--no-prune"),
+                        "export_no_prune.json"),
+    "export_dot": (("export", "--format", "dot"), "export.dot"),
 }
 # golden file stem -> (argv, expected exit code)
 STANDALONE = {
@@ -34,6 +39,8 @@ STANDALONE = {
                                "--format", "json"), EXIT_OK),
     "particle.maximize_s4": (("sweep", "--maximize-s4", "--format", "json"),
                              EXIT_OK),
+    "apparatus.maximize_s4": (("sweep", "--maximize-s4", "--mode", "apparatus",
+                               "--format", "json"), EXIT_OK),
 }
 
 
@@ -41,12 +48,12 @@ STANDALONE = {
 @pytest.mark.parametrize("config", CONFIGS)
 def test_report_matches_golden(capsys, monkeypatch, config, command):
     monkeypatch.delenv(TOL_ENV_VAR, raising=False)
-    argv = [*COMMANDS[command], "--config",
-            str(ROOT / "configs" / f"{config}.json")]
+    args, golden = COMMANDS[command]
+    argv = [*args, "--config", str(ROOT / "configs" / f"{config}.json")]
     code = main(argv)
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert out.encode() == (GOLDEN / f"{config}.{command}.json").read_bytes()
+    assert out.encode() == (GOLDEN / f"{config}.{golden}").read_bytes()
 
 
 @pytest.mark.parametrize("stem", sorted(STANDALONE))

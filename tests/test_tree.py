@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from chainlogic import histories, tree as tree_module
 from chainlogic.counterfactual import locality_report
 from chainlogic.errors import (
     DuplicateLabelError,
@@ -18,7 +19,13 @@ from chainlogic.hardy import (
     hardy_settings,
     hardy_state,
 )
-from chainlogic.histories import TimeGrid
+from chainlogic.histories import (
+    History,
+    HistoryEvent,
+    HistoryFamily,
+    TimeGrid,
+    consistency_matrix,
+)
 from chainlogic.qm import (
     DensityOperator,
     Projector,
@@ -227,6 +234,141 @@ class TestTreeConsistency:
         assert len(family.histories) == 4
         labels = {h.label for h in family.histories}
         assert "z+ / x+" in labels
+
+
+ROTATION = np.array([[np.cos(0.4), -np.sin(0.4)],
+                     [np.sin(0.4), np.cos(0.4)]], dtype=complex)
+RANK_TWO = DensityOperator(0.75 * outer(np.array([0.6, 0.8j]))
+                           + 0.25 * outer(X_MINUS))
+
+
+def rotated_tree(schedule, state):
+    grid = TimeGrid(tuple(float(t) for t in range(len(schedule) + 1)),
+                    (ROTATION,) * len(schedule))
+    return build_tree(grid, schedule, state)
+
+
+def kets_trees():
+    """Pure, rank-two, choice, particle and apparatus trees; all but the
+    apparatus ones have consistency matrices with non-zero off-diagonals."""
+    coin = ClassicalChoice((("heads", 0.3), ("tails", 0.7)))
+    weights = ((0.3, 0.7), (0.6, 0.4))
+    amplitudes = HardyAmplitudes.from_unnormalized(0.6, 0.5 + 0.2j, 0.4)
+    particle = build_measurement_scenario(amplitudes, mode="particle",
+                                          choice_weights=weights)
+    apparatus = build_measurement_scenario(amplitudes, mode="apparatus",
+                                           choice_weights=weights)
+    return {
+        "pure": rotated_tree([x_layer(), z_layer(), x_layer()],
+                             StateVector(np.array([0.6, 0.8j]))),
+        "rank-two": rotated_tree([x_layer(), z_layer(), x_layer()], RANK_TWO),
+        "choice-first": rotated_tree([coin, z_layer(), x_layer()],
+                                     StateVector(X_PLUS)),
+        "choice-middle": rotated_tree([x_layer(), coin, z_layer(), x_layer()],
+                                      RANK_TWO),
+        "particle": particle.tree,
+        "particle-unpruned": particle.unpruned_tree,
+        "apparatus": apparatus.tree,
+        "apparatus-unpruned": apparatus.unpruned_tree,
+    }
+
+
+def reference_blocks(tree):
+    """``consistency_matrix`` of each choice block's leaf histories, found by
+    path lookups, with one identity event standing in for every choice."""
+    choice_times = tree.choice_time_indices
+    no_event = Projector(np.eye(tree.dim))
+    blocks: dict = {}
+    for leaf in tree.leaves():
+        events = []
+        for t in range(1, tree.depth + 1):
+            node = tree.node_at(leaf.path[:t])
+            events.append(HistoryEvent(
+                time_index=t, label=node.label,
+                projector=no_event if node.projector is None
+                else node.projector))
+        key = tuple(leaf.path[t - 1] for t in choice_times)
+        blocks.setdefault(key, []).append(
+            History(grid=tree.grid, events=tuple(events)))
+    return {key: consistency_matrix(HistoryFamily(
+                grid=tree.grid, rho=tree.rho, histories=tuple(family)))
+            for key, family in blocks.items()}
+
+
+def all_nodes(tree):
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)
+
+
+class TestConsistencyFromKets:
+    TREES = kets_trees()
+
+    @pytest.mark.parametrize("name", sorted(TREES))
+    def test_blocks_equal_history_family_reference(self, name):
+        tree = self.TREES[name]
+        report = tree_consistency(tree)
+        reference = reference_blocks(tree)
+        assert [key for key, _ in report.blocks] == sorted(reference)
+        for key, block in report.blocks:
+            assert np.array_equal(block.matrix, reference[key].matrix)
+            assert block.worst_offdiagonal == reference[key].worst_offdiagonal
+        # apparatus records are orthogonal, so their off-diagonals are exact 0
+        assert (report.worst_magnitude > 0.0) != name.startswith("apparatus")
+
+    def test_reads_kets_without_propagating(self, monkeypatch):
+        calls: list[str] = []
+        post_init = HistoryFamily.__post_init__
+
+        def family_spy(family):
+            calls.append("HistoryFamily")
+            post_init(family)
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(HistoryFamily, "__post_init__", family_spy)
+        for module in (histories, tree_module):
+            for name in ("chain_apply", "consistency_matrix"):
+                monkeypatch.setattr(module, name,
+                                    spy(name, getattr(histories, name)),
+                                    raising=False)
+        for name, tree in self.TREES.items():
+            tree_consistency(tree)
+        assert calls == []
+        # the spies do see the history-family route
+        histories.consistency_matrix(to_history_family(self.TREES["pure"]))
+        assert {"HistoryFamily", "chain_apply", "consistency_matrix"} <= set(calls)
+
+    @pytest.mark.parametrize("name", ["pure", "rank-two", "apparatus",
+                                      "apparatus-unpruned"])
+    def test_choice_free_nodes_share_one_array(self, name):
+        tree = self.TREES[name]
+        assert tree.choice_time_indices == ()
+        assert all(node.ket is node.state for node in all_nodes(tree))
+
+    def test_choice_weights_stay_out_of_the_ket(self):
+        tree = self.TREES["choice-middle"]
+        for path in ((), ("x+",), ("x-",)):
+            assert tree.node_at(path).ket is tree.node_at(path).state
+        for leaf in tree.leaves():
+            weight = 0.3 if leaf.path[1] == "heads" else 0.7
+            assert leaf.ket is not leaf.state
+            np.testing.assert_allclose(np.sqrt(weight) * leaf.ket, leaf.state,
+                                       rtol=0, atol=1e-15)
+
+    def test_mixed_decompositions_under_one_time_refused(self):
+        # x projectors under z+ and z projectors under z- at time index 2
+        with pytest.raises(ValueError) as info:
+            tree_consistency(conditional_zx_tree())
+        assert str(info.value) == (
+            "projectors 'x+' and 'z+' at time index 2 are neither equal nor "
+            "orthogonal; the family does not come from one decomposition")
 
 
 class TestCompatibility:
