@@ -28,6 +28,7 @@ from .errors import (
     InternalConsistencyError,
     KindMismatchError,
     NotAHardyStateError,
+    NumericalFaultError,
     PvmCompletenessError,
     PvmOrthogonalityError,
     ScheduleError,

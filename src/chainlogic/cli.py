@@ -13,6 +13,8 @@ Exit codes:
     3   the state fails the defining joint-probability pattern
     64  usage or configuration error
     66  input/output error
+    70  a numerical fault: a probability below the negativity floor or a
+        measurement unitary off unitarity
 
 The environment variable CHAINLOGIC_TOL, when set, overrides the
 consistency tolerance from the config (it must parse as a float in (0, 1)).
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -44,6 +47,7 @@ from .errors import (
     ConfigError,
     InternalConsistencyError,
     NotAHardyStateError,
+    NumericalFaultError,
 )
 from .hardy import (
     DEFAULT_CHOICE_WEIGHTS,
@@ -73,6 +77,7 @@ EXIT_INCONSISTENT = 2
 EXIT_NOT_HARDY = 3
 EXIT_USAGE = 64
 EXIT_IO = 66
+EXIT_SOFTWARE = 70
 
 REPORT_SCHEMA_VERSION = 1
 TOL_ENV_VAR = "CHAINLOGIC_TOL"
@@ -621,9 +626,14 @@ def _version() -> str:
     return __version__
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; it holds no per-call state."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -632,6 +642,9 @@ def main(argv: list[str] | None = None) -> int:
     except NotAHardyStateError as exc:
         print(f"chainlogic: {exc}", file=sys.stderr)
         return EXIT_NOT_HARDY
+    except NumericalFaultError as exc:
+        print(f"chainlogic: numerical fault: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
     except InternalConsistencyError as exc:
         print(f"chainlogic: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

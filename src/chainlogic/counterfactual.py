@@ -9,7 +9,9 @@ The rules are mechanical:
 
   * every label in play (premise, alternative, targets) must belong to this
     one tree's declared schedule; importing a label from some other
-    decomposition raises ``FrameworkViolationError``;
+    decomposition raises ``FrameworkViolationError``.  As for
+    ``enforce_single_framework``, labels offered only under pruned zero-weight
+    branches belong: a premise on one is vacuous, a target on one impossible;
   * the premise must carry positive probability, otherwise conditioning is
     undefined and ``VacuousPremiseError`` is raised;
   * when several pre-pivot branches are compatible with the premise, each is
@@ -121,17 +123,10 @@ class CounterfactualVerdict:
 
 
 def _declared_labels(tree: FrameworkTree, time_index: int) -> set[str]:
-    """Union of schedule labels offered at ``time_index`` over realized
-    prefixes."""
-    labels: set[str] = set()
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.time_index == time_index - 1:
-            labels.update(tree.member_labels(time_index, node.path))
-        else:
-            stack.extend(node.children)
-    return labels
+    """Labels the schedule declares at ``time_index`` under every grown
+    prefix, pruned ones included."""
+    return {member.label for prefix, members in tree.resolved.items()
+            if len(prefix) == time_index - 1 for member in members}
 
 
 def _check_labels_in_framework(tree: FrameworkTree,

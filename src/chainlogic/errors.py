@@ -65,7 +65,13 @@ class DegenerateBasisError(ChainLogicError):
 
 class InternalConsistencyError(ChainLogicError):
     """A numerical result violated a structural guarantee, for example a
-    probability below the negativity floor."""
+    scenario tree that fails its own consistency check."""
+
+
+class NumericalFaultError(InternalConsistencyError):
+    """Floating-point error broke a guarantee of the construction: a
+    probability below the negativity floor or a measurement unitary that
+    is not unitary."""
 
 
 class ConfigError(ChainLogicError):

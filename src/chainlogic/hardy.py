@@ -42,6 +42,7 @@ from .errors import (
     DegenerateBasisError,
     InternalConsistencyError,
     NotAHardyStateError,
+    NumericalFaultError,
     ScheduleError,
 )
 from .histories import TimeGrid
@@ -304,7 +305,7 @@ def measurement_unitary(setting1: MeasurementSetting,
     u = b @ a.conj().T + b_perp @ mix @ a_perp.conj().T
     defect = np.abs(u.conj().T @ u - identity(12)).max()
     if defect > UNITARITY_TOL:
-        raise InternalConsistencyError(
+        raise NumericalFaultError(
             f"measurement unitary failed unitarity by {defect:.3e}")
     return u
 
@@ -359,15 +360,15 @@ class HardyScenario:
         raise KeyError(name)
 
 
-def _validate_choice_weights(weights: ChoiceWeights) -> ChoiceWeights:
-    out = []
+def _validate_choice_weights(weights: ChoiceWeights) -> list[ClassicalChoice]:
+    """The setting choices, left then right; bad weights raise ``ConfigError``."""
+    choices = []
     for side, labels, pair in zip("LR", (L_SETTINGS, R_SETTINGS), weights):
         try:
-            choice = ClassicalChoice(tuple(zip(labels, pair)))
+            choices.append(ClassicalChoice(tuple(zip(labels, pair))))
         except ScheduleError as exc:
             raise ConfigError(f"choice weights for side {side}: {exc}") from exc
-        out.append(tuple(weight for _, weight in choice.members))
-    return (out[0], out[1])
+    return choices
 
 
 def _qubit_projector(setting: MeasurementSetting, sign: str) -> Projector:
@@ -377,23 +378,8 @@ def _qubit_projector(setting: MeasurementSetting, sign: str) -> Projector:
     return Projector(np.kron(identity(2), p))
 
 
-def _particle_schedule(settings, weights):
-    by_name = {s.name: s for s in settings}
-
-    def outcome_layer(path):
-        setting = by_name[path[-1]]
-        return [(setting.name + sign, _qubit_projector(setting, sign))
-                for sign in OUTCOME_SIGNS]
-
-    return [
-        ClassicalChoice((("ML1", weights[0][0]), ("ML2", weights[0][1]))),
-        outcome_layer,
-        ClassicalChoice((("MR1", weights[1][0]), ("MR2", weights[1][1]))),
-        outcome_layer,
-    ]
-
-
 _APPARATUS_DIMS = (2, 2, 6, 6)  # qubit L, qubit R, register L, register R
+_SETTING_NUMBER = {"ML1": 1, "ML2": 2, "MR1": 1, "MR2": 2}
 
 
 @functools.cache
@@ -404,22 +390,22 @@ def _register_projector(side: str, index: int) -> Projector:
     return Projector(embed_operator(outer(reg), _APPARATUS_DIMS, (site,)))
 
 
-def _apparatus_schedule(settings):
-    setting_number = {"ML1": 1, "ML2": 2, "MR1": 1, "MR2": 2}
+def _pointer_projector(setting: MeasurementSetting, sign: str) -> Projector:
+    side = "L" if setting.name in L_SETTINGS else "R"
+    return _register_projector(side, _POINTER[(_SETTING_NUMBER[setting.name], sign)])
+
+
+def _schedule(settings, left_choice, right_choice, outcome_projector):
+    """Left setting, left outcome, right setting, right outcome.  Each
+    setting's (+, -) outcome pair is built once; every branch through that
+    setting declares the same two projectors."""
+    outcomes = {s.name: [(s.name + sign, outcome_projector(s, sign))
+                         for sign in OUTCOME_SIGNS] for s in settings}
 
     def outcome_layer(path):
-        name = path[-1]
-        side = "L" if name in L_SETTINGS else "R"
-        k = setting_number[name]
-        return [(name + sign, _register_projector(side, _POINTER[(k, sign)]))
-                for sign in OUTCOME_SIGNS]
+        return outcomes[path[-1]]
 
-    return [
-        [("ML1", _register_projector("L", 0)), ("ML2", _register_projector("L", 1))],
-        outcome_layer,
-        [("MR1", _register_projector("R", 0)), ("MR2", _register_projector("R", 1))],
-        outcome_layer,
-    ]
+    return [left_choice, outcome_layer, right_choice, outcome_layer]
 
 
 def build_measurement_scenario(
@@ -441,7 +427,8 @@ def build_measurement_scenario(
     """
     if mode not in ("particle", "apparatus"):
         raise ConfigError(f"unknown mode {mode!r}")
-    weights = _validate_choice_weights(choice_weights)
+    choices = _validate_choice_weights(choice_weights)
+    weights = tuple(tuple(w for _, w in choice.members) for choice in choices)
 
     if amplitudes is not None:
         if state is not None or settings is not None:
@@ -465,7 +452,7 @@ def build_measurement_scenario(
     apparatus = None
     if mode == "particle":
         grid = TimeGrid.identity(times, 4)
-        schedule = _particle_schedule(setting_tuple, weights)
+        schedule = _schedule(setting_tuple, *choices, _qubit_projector)
         rho: StateVector | DensityOperator = pair_state
     else:
         amps_l = tuple(math.sqrt(w) for w in weights[0])
@@ -492,7 +479,11 @@ def build_measurement_scenario(
         u_l_full = embed_operator(u_l, _APPARATUS_DIMS, (0, 2))
         u_r_full = embed_operator(u_r, _APPARATUS_DIMS, (1, 3))
         grid = TimeGrid(times, (identity(dim), u_l_full, identity(dim), u_r_full))
-        schedule = _apparatus_schedule(setting_tuple)
+        schedule = _schedule(
+            setting_tuple,
+            [("ML1", _register_projector("L", 0)), ("ML2", _register_projector("L", 1))],
+            [("MR1", _register_projector("R", 0)), ("MR2", _register_projector("R", 1))],
+            _pointer_projector)
 
     unpruned = build_tree(grid, schedule, rho, residual_tol=tolerances.prune)
     pruned = prune_zero_branches(unpruned, tolerances.prune)

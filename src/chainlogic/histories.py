@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     FrameworkViolationError,
-    InternalConsistencyError,
+    NumericalFaultError,
 )
 from .qm import (
     ALGEBRA_TOL,
@@ -139,7 +139,7 @@ def chain_apply(history: History, vector: np.ndarray) -> np.ndarray:
 
 def _clamped_probability(value: float, floor: float = NEGATIVITY_FLOOR) -> float:
     if value < -floor:
-        raise InternalConsistencyError(
+        raise NumericalFaultError(
             f"probability {value:.3e} is below the negativity floor")
     return max(value, 0.0)
 

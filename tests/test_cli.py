@@ -10,12 +10,15 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from chainlogic import __version__, cli, hardy
 from chainlogic.cli import (
     EXIT_INCONSISTENT,
     EXIT_IO,
     EXIT_NOT_HARDY,
     EXIT_OK,
+    EXIT_SOFTWARE,
     EXIT_USAGE,
+    build_parser,
     load_config,
     main,
 )
@@ -137,6 +140,14 @@ class TestExitCodes:
         assert code == 1
         assert "chainlogic:" in err
 
+    def test_numerical_fault_has_its_own_code(self, capsys, monkeypatch):
+        # no measurement unitary passes a negative tolerance
+        monkeypatch.setattr(hardy, "UNITARITY_TOL", -1.0)
+        code, out, err = run_cli(capsys, "hardy")
+        assert code == EXIT_SOFTWARE
+        assert out == ""
+        assert "numerical fault: measurement unitary failed unitarity" in err
+
     def test_bad_env_tolerance(self, capsys, monkeypatch):
         monkeypatch.setenv("CHAINLOGIC_TOL", "banana")
         code, _, err = run_cli(capsys, "consistency", "--demo", "xzx")
@@ -162,6 +173,31 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["hardy", "--bogus"])
         assert excinfo.value.code == EXIT_USAGE
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--version"])
+        assert excinfo.value.code == EXIT_OK
+        assert capsys.readouterr().out == f"chainlogic {__version__}\n"
+
+
+class TestParser:
+    def test_main_builds_one_parser_per_process(self, capsys, monkeypatch):
+        built = []
+
+        def spy():
+            built.append(build_parser())
+            return built[-1]
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", spy)
+        assert run_cli(capsys, "consistency", "--demo", "xzx")[0] \
+            == EXIT_INCONSISTENT
+        assert run_cli(capsys, "hardy", "--config", "nope.json")[0] == EXIT_IO
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestEnvTolerance:

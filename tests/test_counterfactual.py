@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ import oracles
 from chainlogic.counterfactual import (
     SUFFIX_SEPARATOR,
     CounterfactualQuery,
+    _declared_labels,
     evaluate_counterfactual,
     evaluate_switch_counterfactual,
     find_pivot,
@@ -33,7 +36,12 @@ from chainlogic.qm import (
     basis_state,
     outer,
 )
-from chainlogic.tree import ClassicalChoice, build_tree
+from chainlogic.tree import (
+    ClassicalChoice,
+    build_tree,
+    enforce_single_framework,
+    prune_zero_branches,
+)
 from strategies import strict_triples
 
 EQUAL = HardyAmplitudes.equal()
@@ -72,6 +80,18 @@ def forked_tree():
         lambda path: {"a": x_layer(), "b": z_layer()}[path[-1]],
     ]
     return build_tree(grid, layers, basis_state(2, 0))
+
+
+def pruned_fork_tree():
+    # the weight-0 "b" branch is pruned; "y+" and "y-" are declared only under it
+    grid = TimeGrid.identity((0.0, 1.0, 2.0), 2)
+    layers = [
+        [("a", proj([1.0, 0.0])), ("b", proj([0.0, 1.0]))],
+        lambda path: {"a": x_layer(),
+                      "b": [("y+", proj([1.0, 0.0])),
+                            ("y-", proj([0.0, 1.0]))]}[path[-1]],
+    ]
+    return prune_zero_branches(build_tree(grid, layers, basis_state(2, 0)))
 
 
 def count_projectors(monkeypatch) -> list:
@@ -197,6 +217,27 @@ class TestFrameworkGuards:
                                     alternative="z+")
         with pytest.raises(FrameworkViolationError, match="not offered"):
             evaluate_counterfactual(tree, query)
+
+    def test_premise_declared_only_under_pruned_branch_is_vacuous(self):
+        tree = pruned_fork_tree()
+        assert [p.path for p in tree.pruned] == [("b",)]
+        assert enforce_single_framework([("b", "y+")], tree).ok
+        query = CounterfactualQuery(premise={2: "y+"}, pivot_time=1,
+                                    alternative="a")
+        with pytest.raises(VacuousPremiseError):
+            find_pivot(tree, query)
+
+    def test_target_declared_only_under_pruned_branch_is_impossible(self):
+        query = CounterfactualQuery(premise={1: "a"}, pivot_time=1,
+                                    alternative="a", targets=("x+", "y+"))
+        verdict = evaluate_counterfactual(pruned_fork_tree(), query)
+        assert verdict.impossible_outcomes == ("y+",)
+        assert verdict.distribution["x+"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_declared_labels_read_the_schedule_not_the_nodes(self):
+        tree = replace(pruned_fork_tree(), root=None)
+        assert _declared_labels(tree, 1) == {"a", "b"}
+        assert _declared_labels(tree, 2) == {"x+", "x-", "y+", "y-"}
 
 
 class TestSwitchVerdicts:

@@ -30,6 +30,8 @@ COMMANDS = {
     "export_no_prune": (("export", "--format", "json", "--no-prune"),
                         "export_no_prune.json"),
     "export_dot": (("export", "--format", "dot"), "export.dot"),
+    "hardy_text": (("hardy",), "hardy.txt"),
+    "counterfactual_text": (("counterfactual", "--both"), "counterfactual.txt"),
 }
 # golden file stem -> (argv, expected exit code)
 STANDALONE = {

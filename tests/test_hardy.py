@@ -28,7 +28,9 @@ from chainlogic.hardy import (
     scenario_keys,
     verify_hardy_predictions,
 )
-from chainlogic.qm import StateVector, outer
+from chainlogic import qm
+from chainlogic.qm import Projector, StateVector, outer
+from chainlogic.tree import ClassicalChoice
 from strategies import strict_triples
 
 EQUAL = HardyAmplitudes.equal()
@@ -270,6 +272,49 @@ class TestScenario:
         for ls, lo, rs, ro in keys:
             assert ls in L_SETTINGS and rs in R_SETTINGS
             assert lo[-1] in OUTCOME_SIGNS and ro[-1] in OUTCOME_SIGNS
+
+
+class TestSchedule:
+    def test_particle_build_makes_each_event_once(self, monkeypatch):
+        made: dict[str, list] = {"projector": [], "pair": [], "choice": []}
+        for cls, key in ((Projector, "projector"), (ClassicalChoice, "choice")):
+            def counting(self, original=cls.__post_init__, key=key):
+                made[key].append(self)
+                original(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        compute = qm._compute_pair_defects
+
+        def spy(p, q):
+            made["pair"].append((p, q))
+            return compute(p, q)
+
+        monkeypatch.setattr(qm, "_compute_pair_defects", spy)
+        scenario = build_measurement_scenario(EQUAL, mode="particle")
+        # eight outcome events, plus the identity tree_consistency puts at
+        # the choice times; one (+, -) pair check per setting
+        assert len(made["projector"]) == 9
+        assert len(made["pair"]) == 4
+        assert len(made["choice"]) == 2
+        # a left setting opens one outcome layer, a right setting one per
+        # left (setting, outcome) branch
+        for names, time_index, count in ((L_SETTINGS, 2, 1), (R_SETTINGS, 4, 4)):
+            for name in names:
+                layers = [members for prefix, members
+                          in scenario.unpruned_tree.resolved.items()
+                          if len(prefix) == time_index - 1
+                          and prefix[-1] == name]
+                assert len(layers) == count
+                first = layers[0]
+                assert [m.label for m in first] == [name + "+", name + "-"]
+                assert all(m.projector is f.projector for members in layers
+                           for m, f in zip(members, first))
+
+    def test_choice_weights_read_from_the_choice_layers(self):
+        scenario = build_measurement_scenario(
+            EQUAL, mode="particle", choice_weights=((0.25, 0.75), (1, 0)))
+        assert scenario.choice_weights == ((0.25, 0.75), (1.0, 0.0))
+        assert all(type(w) is float for pair in scenario.choice_weights
+                   for w in pair)
 
 
 class TestPredictions:

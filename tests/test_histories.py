@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from chainlogic.errors import FrameworkViolationError
+from chainlogic.errors import FrameworkViolationError, NumericalFaultError
 from chainlogic.histories import (
+    NEGATIVITY_FLOOR,
     History,
     HistoryEvent,
     HistoryFamily,
@@ -16,6 +17,7 @@ from chainlogic.histories import (
     chain_operator,
     consistency_matrix,
     family_distribution,
+    _clamped_probability,
     history_probability,
 )
 from chainlogic.qm import (
@@ -107,6 +109,11 @@ class TestChainOperator:
             h, DensityOperator(outer(state.amps)))
         assert p_pure == pytest.approx(0.25, abs=1e-12)
         assert p_mixed == pytest.approx(p_pure, abs=1e-12)
+
+    def test_negativity_floor_is_a_numerical_fault(self):
+        assert _clamped_probability(-0.5 * NEGATIVITY_FLOOR) == 0.0
+        with pytest.raises(NumericalFaultError, match="negativity floor"):
+            _clamped_probability(-2.0 * NEGATIVITY_FLOOR)
 
 
 def rank_two_state() -> DensityOperator:

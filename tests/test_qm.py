@@ -267,6 +267,8 @@ class TestPairDefects:
         assert computed == []
 
     def test_memo_holds_no_projector_alive(self):
+        # earlier tests' cyclic garbage would otherwise drop rows below
+        gc.collect()
         p, q, r = tilted(0.2), tilted(0.7), tilted(1.3)
         pair_defects(p, q)
         pair_defects(q, r)
