@@ -32,8 +32,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -84,6 +85,10 @@ TOL_ENV_VAR = "CHAINLOGIC_TOL"
 
 _CONFIG_KEYS = {"schema", "amplitudes", "choice_weights", "mode",
                 "tolerances", "completion_seed"}
+# A config's amplitudes with |norm - 1| above this are refused ...
+AMPLITUDE_REFUSE_DEVIATION = 1e-6
+# ... and above this, rescaled to unit norm with a warning.
+AMPLITUDE_WARN_DEVIATION = 1e-12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,11 +128,11 @@ def _amplitudes_from(data) -> HardyAmplitudes:
     if norm == 0.0:
         raise ConfigError("amplitudes must not all vanish")
     deviation = abs(norm - 1.0)
-    if deviation > 1e-6:
+    if deviation > AMPLITUDE_REFUSE_DEVIATION:
         raise ConfigError(
             f"amplitudes are not normalized (|norm - 1| = {deviation:.3e}); "
             "refusing to rescale silently")
-    if deviation > 1e-12:
+    if deviation > AMPLITUDE_WARN_DEVIATION:
         print(f"chainlogic: normalizing amplitudes (|norm - 1| = "
               f"{deviation:.3e})", file=sys.stderr)
     return HardyAmplitudes(*(x / norm for x in triple))
@@ -288,28 +293,10 @@ def _verdict_json(verdict: CounterfactualVerdict) -> dict:
     }
 
 
-def _row_json(row: SweepRow) -> dict:
-    return {
-        "parameter": row.parameter,
-        "amplitudes": _amps_json(row.amplitudes),
-        "s4": row.s4,
-        "p_mr2_plus_given_ml2_plus": row.p_mr2_plus_given_ml2_plus,
-        "p_mr2_minus_given_ml2_plus": row.p_mr2_minus_given_ml2_plus,
-        "verdict_ml1_kind": row.verdict_ml1_kind,
-        "verdict_ml1_outcome": row.verdict_ml1_outcome,
-        "verdict_ml2_kind": row.verdict_ml2_kind,
-        "is_hardy": row.is_hardy,
-    }
-
-
-def _maximum_json(result: S4Maximum) -> dict:
-    return _envelope("s4-maximum", {
-        "family": result.family,
-        "parameter": result.parameter,
-        "amplitudes": _amps_json(result.amplitudes),
-        "s4": result.s4,
-        "evaluations": result.evaluations,
-    })
+def _sweep_json(result: SweepRow | S4Maximum) -> dict:
+    """A sweep result's fields, which are its JSON keys, with the amplitude
+    triple as [re, im] pairs."""
+    return {**asdict(result), "amplitudes": _amps_json(result.amplitudes)}
 
 
 def _fmt_verdict(verdict: CounterfactualVerdict) -> str:
@@ -488,14 +475,16 @@ def _sweep_text(rows: tuple[SweepRow, ...]) -> str:
 _SWEEP_CSV_COLUMNS = ("parameter", "s4", "p_mr2_plus_given_ml2_plus",
                       "p_mr2_minus_given_ml2_plus", "verdict_ml1_kind",
                       "verdict_ml1_outcome", "verdict_ml2_kind", "is_hardy")
+_MAXIMUM_CSV_COLUMNS = ("family", "parameter", "s4", "evaluations")
 
 
-def _sweep_csv(rows: tuple[SweepRow, ...]) -> str:
+def _sweep_csv(columns: tuple[str, ...],
+               results: Iterable[SweepRow | S4Maximum]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_SWEEP_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([getattr(row, column) for column in _SWEEP_CSV_COLUMNS])
+    writer.writerow(columns)
+    for result in results:
+        writer.writerow([getattr(result, column) for column in columns])
     return buffer.getvalue()
 
 
@@ -507,15 +496,10 @@ def _cmd_sweep(args) -> int:
         result = maximize_s4(family=family, mode=args.mode,
                              tolerances=config.tolerances)
         if args.format == "json":
-            text = json.dumps(_maximum_json(result), sort_keys=True,
-                              indent=2) + "\n"
+            text = json.dumps(_envelope("s4-maximum", _sweep_json(result)),
+                              sort_keys=True, indent=2) + "\n"
         elif args.format == "csv":
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(("family", "parameter", "s4", "evaluations"))
-            writer.writerow((result.family, result.parameter, result.s4,
-                             result.evaluations))
-            text = buffer.getvalue()
+            text = _sweep_csv(_MAXIMUM_CSV_COLUMNS, [result])
         else:
             text = (f"family: {result.family}\n"
                     f"maximum P(ML2+ and MR2- | ML2, MR2) = {result.s4:.6f} "
@@ -530,11 +514,11 @@ def _cmd_sweep(args) -> int:
         obj = _envelope("sweep-report", {
             "family": family,
             "mode": args.mode,
-            "rows": [_row_json(row) for row in rows],
+            "rows": [_sweep_json(row) for row in rows],
         })
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
-        text = _sweep_csv(rows)
+        text = _sweep_csv(_SWEEP_CSV_COLUMNS, rows)
     else:
         text = _sweep_text(rows)
     _write_output(text, args.out)

@@ -250,9 +250,7 @@ class MeasurementSetting:
         raise ValueError(f"unknown outcome sign {sign!r}")
 
 
-def hardy_settings(amplitudes: HardyAmplitudes, *,
-                   require_strict: bool = False
-                   ) -> tuple[MeasurementSetting, ...]:
+def hardy_settings(amplitudes: HardyAmplitudes) -> tuple[MeasurementSetting, ...]:
     """The four settings (ML1, ML2, MR1, MR2) for this triple.
 
     Outcome conventions follow the module docstring: MR1+ registers |1>,
@@ -260,7 +258,7 @@ def hardy_settings(amplitudes: HardyAmplitudes, *,
     complement), while the left side maps + to |0> (ML1) and to d1_plus
     (ML2).
     """
-    bases = derive_hardy_bases(amplitudes, require_strict=require_strict)
+    bases = derive_hardy_bases(amplitudes, require_strict=False)
     z0 = np.array([1.0, 0.0], dtype=np.complex128)
     z1 = np.array([0.0, 1.0], dtype=np.complex128)
     return (
@@ -444,6 +442,9 @@ def build_measurement_scenario(
         names = tuple(s.name for s in setting_tuple)
         if names != ("ML1", "ML2", "MR1", "MR2"):
             raise ConfigError("settings must be (ML1, ML2, MR1, MR2), in order")
+        if tuple(s.side for s in setting_tuple) != ("L", "L", "R", "R"):
+            raise ConfigError("settings ML1 and ML2 must have side 'L', "
+                              "MR1 and MR2 side 'R'")
     pair_dim = pair_state.dim
     if pair_dim != 4:
         raise ConfigError("the pair state must be 4-dimensional")
@@ -576,17 +577,16 @@ class PredictionReport:
         return "not a Hardy state: a joint zero fails"
 
 
-def verify_hardy_predictions(scenario: HardyScenario,
-                             tol: float | None = None) -> PredictionReport:
-    """Evaluate the four defining joint probabilities from the pruned tree."""
-    tol = scenario.tolerances.consistency if tol is None else float(tol)
+def verify_hardy_predictions(scenario: HardyScenario) -> PredictionReport:
+    """Evaluate the four defining joint probabilities from the pruned tree,
+    against the scenario's consistency tolerance."""
     cond = conditional_outcome_table(scenario)
     return PredictionReport(
         s1=cond[("ML1", "MR1")][("ML1-", "MR1+")],
         s2=cond[("ML1", "MR2")][("ML1+", "MR2-")],
         s3=cond[("ML2", "MR1")][("ML2+", "MR1-")],
         s4=cond[("ML2", "MR2")][("ML2+", "MR2-")],
-        tol=tol)
+        tol=scenario.tolerances.consistency)
 
 
 @dataclass(frozen=True)
@@ -603,10 +603,9 @@ class NoSignalingReport:
         return self.max_discrepancy < self.tol
 
 
-def no_signaling_report(scenario: HardyScenario,
-                        tol: float | None = None) -> NoSignalingReport:
-    """Marginal distributions of one side must not depend on the far setting."""
-    tol = scenario.tolerances.consistency if tol is None else float(tol)
+def no_signaling_report(scenario: HardyScenario) -> NoSignalingReport:
+    """Marginal distributions of one side must not depend on the far setting,
+    within the scenario's consistency tolerance."""
     cond = conditional_outcome_table(scenario)
     right: dict[str, dict[str, dict[str, float]]] = {}
     left: dict[str, dict[str, dict[str, float]]] = {}
@@ -634,4 +633,5 @@ def no_signaling_report(scenario: HardyScenario,
     # np.max propagates NaN from zero-weight settings; plain max() would not
     worst = float(np.max(diffs))
     return NoSignalingReport(right_marginals=right, left_marginals=left,
-                             max_discrepancy=worst, tol=tol)
+                             max_discrepancy=worst,
+                             tol=scenario.tolerances.consistency)

@@ -30,6 +30,8 @@ ALGEBRA_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
 # Residual norm below which a vector counts as dependent on a partial basis.
 SPAN_DEPENDENCE_CUTOFF = 1e-10
+# Branch weight below which a branch counts as zero and is pruned.
+DEFAULT_PRUNE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class Tolerances:
     """Per-run numerical tolerances."""
 
     consistency: float = SPECTRAL_TOL
-    prune: float = 1e-12
+    prune: float = DEFAULT_PRUNE_TOL
 
     def __post_init__(self) -> None:
         for name in ("consistency", "prune"):
@@ -108,8 +110,8 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def is_normalized(self, tol: float = ALGEBRA_TOL) -> bool:
-        return abs(self.norm**2 - 1.0) < tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm**2 - 1.0) < ALGEBRA_TOL
 
     def normalized(self) -> "StateVector":
         return StateVector(self.amps / self.norm)
@@ -133,16 +135,15 @@ class Projector:
     """Hermitian idempotent matrix, validated at construction."""
 
     matrix: np.ndarray
-    atol: float = field(default=ALGEBRA_TOL, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.matrix, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("projector must be a square matrix")
         _require_finite(arr, "projector")
-        if np.abs(arr - arr.conj().T).max() > self.atol:
+        if np.abs(arr - arr.conj().T).max() > ALGEBRA_TOL:
             raise ValueError("projector is not hermitian within tolerance")
-        if np.abs(arr @ arr - arr).max() > self.atol:
+        if np.abs(arr @ arr - arr).max() > ALGEBRA_TOL:
             raise ValueError("projector is not idempotent within tolerance")
         object.__setattr__(self, "matrix", _frozen_complex(arr))
 
@@ -217,7 +218,15 @@ class DensityOperator:
     ``factor`` is a private square-root factor A, ``matrix`` = A A^dagger: the
     state vector for an operator built from one, else a (dim, r) matrix of
     the eigenvectors above ``numerical_rank_cutoff`` scaled by sqrt-eigenvalues.
-    A factor passed in skips the eigendecomposition and is trusted.
+
+    Every matrix is checked for finiteness, hermiticity and unit trace.  The
+    spectrum is checked only where it is not yet known: a matrix given
+    without a factor is eigendecomposed and refused below -``SPECTRAL_TOL``.
+    A factor is passed only by ``from_state`` and ``tensor``, whose matrices
+    pass that floor by construction: ``from_state``'s is ``outer(v)`` of a
+    vector that passed ``is_normalized``, and ``tensor``'s is the kron of two
+    operators that each passed the floor, so its eigenvalues are products
+    lambda * mu with mu <= 1, none below -``SPECTRAL_TOL``.
     """
 
     matrix: np.ndarray
@@ -232,16 +241,14 @@ class DensityOperator:
             raise ValueError("density operator is not hermitian within tolerance")
         if abs(np.trace(arr).real - 1.0) > ALGEBRA_TOL or abs(np.trace(arr).imag) > ALGEBRA_TOL:
             raise ValueError("density operator trace is not 1 within tolerance")
-        hermitian = (arr + arr.conj().T) / 2.0
-        if self.factor is None:
-            eigenvalues, eigenvectors = np.linalg.eigh(hermitian)
+        factor = self.factor
+        if factor is None:
+            eigenvalues, eigenvectors = np.linalg.eigh((arr + arr.conj().T) / 2.0)
+            if eigenvalues.min() < -SPECTRAL_TOL:
+                raise ValueError(
+                    "density operator has an eigenvalue below the negativity floor")
             keep = eigenvalues > numerical_rank_cutoff(eigenvalues, len(arr))
             factor = eigenvectors[:, keep] * np.sqrt(eigenvalues[keep])
-        else:
-            eigenvalues = np.linalg.eigvalsh(hermitian)
-            factor = self.factor
-        if eigenvalues.min() < -SPECTRAL_TOL:
-            raise ValueError("density operator has an eigenvalue below the negativity floor")
         object.__setattr__(self, "matrix", _frozen_complex(arr))
         object.__setattr__(self, "factor", _frozen_complex(factor))
 
@@ -273,11 +280,10 @@ class ProjectiveDecomposition:
     """Labeled projectors, pairwise orthogonal and summing to the identity."""
 
     members: tuple[tuple[str, Projector], ...]
-    atol: float = field(default=ALGEBRA_TOL, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple((str(l), p) for l, p in self.members))
-        _check_pvm(self.members, atol=self.atol, complete=True)
+        _check_pvm(self.members, complete=True)
 
     def __iter__(self):
         return iter(self.members)
@@ -325,7 +331,7 @@ def pair_defects(p: Projector, q: Projector) -> tuple[float, float]:
     return found
 
 
-def _check_pvm(members: Sequence[tuple[str, Projector]], *, atol: float,
+def _check_pvm(members: Sequence[tuple[str, Projector]], *,
                complete: bool) -> None:
     """Refuse empty, duplicate-labelled, mixed-dimension or non-orthogonal
     members, and with ``complete`` members that do not sum to the identity.
@@ -349,26 +355,25 @@ def _check_pvm(members: Sequence[tuple[str, Projector]], *, atol: float,
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             cross = pair_defects(members[i][1], members[j][1])[1]
-            if cross > atol:
+            if cross > ALGEBRA_TOL:
                 raise PvmOrthogonalityError(
                     f"members {labels[i]!r} and {labels[j]!r} are not orthogonal "
                     f"(max |PQ| = {cross:.3e})")
     if complete:
         total = sum(proj.matrix for _, proj in members)
         defect = np.abs(total - identity(dim)).max()
-        if defect > atol:
+        if defect > ALGEBRA_TOL:
             raise PvmCompletenessError(
                 f"members sum to identity only within {defect:.3e}")
 
 
-def validate_pvm(members: Sequence[tuple[str, Projector]],
-                 atol: float = ALGEBRA_TOL) -> ProjectiveDecomposition:
+def validate_pvm(members: Sequence[tuple[str, Projector]]) -> ProjectiveDecomposition:
     """Validate members as a complete projective decomposition.
 
     Raises ``PvmOrthogonalityError``, ``PvmCompletenessError`` or
     ``DuplicateLabelError`` depending on which requirement fails.
     """
-    return ProjectiveDecomposition(tuple(members), atol=atol)
+    return ProjectiveDecomposition(tuple(members))
 
 
 def tensor_product(left, right):

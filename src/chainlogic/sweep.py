@@ -111,21 +111,25 @@ class S4Maximum:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Points of the coarse grid laid over a family's parameter range.
+S4_COARSE_POINTS = 129
+# Golden-section refinement stops once the bracket is this narrow.
+S4_PARAMETER_TOL = 1e-8
+# Distance kept from both ends of a family's parameter range.
+S4_BRACKET_MARGIN = 1e-6
 
 
 def maximize_s4(*, family: str = "equal_tail", mode: str = "particle",
-                tolerances: Tolerances = Tolerances(),
-                coarse_points: int = 129,
-                parameter_tol: float = 1e-8) -> S4Maximum:
+                tolerances: Tolerances = Tolerances()) -> S4Maximum:
     """Coarse grid plus golden-section refinement of the fourth joint.
 
     Every evaluation builds a scenario and reads the probability from its
     tree, so the optimum certifies the engine rather than a formula.
     """
     if family == "symmetric_outer":
-        lo, hi = 1e-6, 1.0 - 1e-6
+        lo, hi = S4_BRACKET_MARGIN, 1.0 - S4_BRACKET_MARGIN
     elif family == "equal_tail":
-        lo, hi = 1e-6, math.sqrt(0.5) - 1e-6
+        lo, hi = S4_BRACKET_MARGIN, math.sqrt(0.5) - S4_BRACKET_MARGIN
     else:
         raise ValueError(f"unknown amplitude family {family!r}")
 
@@ -139,17 +143,17 @@ def maximize_s4(*, family: str = "equal_tail", mode: str = "particle",
             tolerances=tolerances)
         return verify_hardy_predictions(scenario).s4
 
-    step = (hi - lo) / (coarse_points - 1)
-    grid = [lo + i * step for i in range(coarse_points)]
+    step = (hi - lo) / (S4_COARSE_POINTS - 1)
+    grid = [lo + i * step for i in range(S4_COARSE_POINTS)]
     values = [s4_at(p) for p in grid]
-    best = max(range(coarse_points), key=values.__getitem__)
+    best = max(range(S4_COARSE_POINTS), key=values.__getitem__)
     a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, coarse_points - 1)]
+    b = grid[min(best + 1, S4_COARSE_POINTS - 1)]
 
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = s4_at(x1), s4_at(x2)
-    while b - a > parameter_tol:
+    while b - a > S4_PARAMETER_TOL:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)

@@ -26,7 +26,7 @@ alike without the weights, gives ``tree_consistency`` its matrices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -48,6 +48,7 @@ from .histories import (
 )
 from .qm import (
     ALGEBRA_TOL,
+    DEFAULT_PRUNE_TOL,
     SPECTRAL_TOL,
     DensityOperator,
     Projector,
@@ -60,7 +61,6 @@ from .qm import (
 
 BranchPath = tuple[str, ...]
 
-DEFAULT_PRUNE_TOL = 1e-12
 # Largest |sum - 1| accepted for the weights of a classical choice.
 CHOICE_WEIGHT_SUM_TOL = 1e-9
 
@@ -112,7 +112,7 @@ def _as_members(layer, path: BranchPath, dim: int) -> tuple[_Member, ...]:
     pairs = tuple((str(label), proj) for label, proj in layer)
     # an empty layer is left to build_tree, which reports it as unaccounted
     if pairs and not isinstance(layer, ProjectiveDecomposition):
-        _check_pvm(pairs, atol=ALGEBRA_TOL, complete=False)
+        _check_pvm(pairs, complete=False)
     for label, proj in pairs:
         if proj.dim != dim:
             raise DimensionMismatchError(
@@ -448,8 +448,8 @@ class CompatibilityResult:
     witness: CompatibilityWitness | None = None
 
 
-def check_compatibility(family_a: HistoryFamily, family_b: HistoryFamily,
-                        atol: float = ALGEBRA_TOL) -> CompatibilityResult:
+def check_compatibility(family_a: HistoryFamily,
+                        family_b: HistoryFamily) -> CompatibilityResult:
     """Two families are compatible iff all their projectors commute, time by
     time.  Returns the first non-commuting pair as a witness otherwise.
     """
@@ -466,7 +466,7 @@ def check_compatibility(family_a: HistoryFamily, family_b: HistoryFamily,
         for label_a, pa in distinct_at(family_a, t):
             for label_b, pb in distinct_at(family_b, t):
                 defect = commutator_norm(pa.matrix, pb.matrix)
-                if defect > atol:
+                if defect > ALGEBRA_TOL:
                     return CompatibilityResult(
                         compatible=False,
                         witness=CompatibilityWitness(
@@ -556,26 +556,6 @@ def _node_doc(tree: FrameworkTree, pruned_map: dict[BranchPath, float],
         probability=node.prob, pruned=False, children=tuple(children))
 
 
-def _node_obj(node: TreeNodeDocument) -> dict:
-    return {
-        "label": node.label,
-        "time": node.time,
-        "probability": node.probability,
-        "pruned": node.pruned,
-        "children": [_node_obj(c) for c in node.children],
-    }
-
-
-def _doc_to_json_obj(doc: TreeDocument) -> dict:
-    return {
-        "schema": doc.schema,
-        "kind": doc.kind,
-        "dim": doc.dim,
-        "times": list(doc.times),
-        "root": _node_obj(doc.root),
-    }
-
-
 def import_tree_json(text: str) -> TreeDocument:
     """Parse a JSON tree export back into a document."""
     data = json.loads(text)
@@ -603,7 +583,8 @@ def export_tree(tree: FrameworkTree, fmt: str = "dot") -> str:
     """
     doc = tree_document(tree)
     if fmt == "json":
-        return json.dumps(_doc_to_json_obj(doc), sort_keys=True, indent=2)
+        # the documents' field names are the JSON keys
+        return json.dumps(asdict(doc), sort_keys=True, indent=2)
     if fmt != "dot":
         raise ValueError(f"unknown export format {fmt!r}")
 

@@ -33,16 +33,25 @@ COMMANDS = {
     "hardy_text": (("hardy",), "hardy.txt"),
     "counterfactual_text": (("counterfactual", "--both"), "counterfactual.txt"),
 }
-# golden file stem -> (argv, expected exit code)
+# test id -> (argv, golden file name, expected exit code)
 STANDALONE = {
     "demo_xzx.consistency": (("consistency", "--demo", "xzx", "--json"),
-                             EXIT_INCONSISTENT),
+                             "demo_xzx.consistency.json", EXIT_INCONSISTENT),
     "symmetric_outer.sweep": (("sweep", "--family", "symmetric_outer",
-                               "--format", "json"), EXIT_OK),
+                               "--format", "json"),
+                              "symmetric_outer.sweep.json", EXIT_OK),
+    "symmetric_outer.sweep_csv": (("sweep", "--format", "csv"),
+                                  "symmetric_outer.sweep.csv", EXIT_OK),
+    "symmetric_outer.sweep_text": (("sweep", "--format", "text"),
+                                   "symmetric_outer.sweep.txt", EXIT_OK),
     "particle.maximize_s4": (("sweep", "--maximize-s4", "--format", "json"),
-                             EXIT_OK),
+                             "particle.maximize_s4.json", EXIT_OK),
+    "particle.maximize_s4_text": (("sweep", "--maximize-s4", "--format",
+                                   "text"),
+                                  "particle.maximize_s4.txt", EXIT_OK),
     "apparatus.maximize_s4": (("sweep", "--maximize-s4", "--mode", "apparatus",
-                               "--format", "json"), EXIT_OK),
+                               "--format", "json"),
+                              "apparatus.maximize_s4.json", EXIT_OK),
 }
 
 
@@ -58,11 +67,11 @@ def test_report_matches_golden(capsys, monkeypatch, config, command):
     assert out.encode() == (GOLDEN / f"{config}.{golden}").read_bytes()
 
 
-@pytest.mark.parametrize("stem", sorted(STANDALONE))
-def test_standalone_report_matches_golden(capsys, monkeypatch, stem):
+@pytest.mark.parametrize("command", sorted(STANDALONE))
+def test_standalone_report_matches_golden(capsys, monkeypatch, command):
     monkeypatch.delenv(TOL_ENV_VAR, raising=False)
-    argv, expected_code = STANDALONE[stem]
+    argv, golden, expected_code = STANDALONE[command]
     code = main(list(argv))
     out = capsys.readouterr().out
     assert code == expected_code
-    assert out.encode() == (GOLDEN / f"{stem}.json").read_bytes()
+    assert out.encode() == (GOLDEN / golden).read_bytes()

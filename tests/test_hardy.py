@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -264,6 +265,19 @@ class TestScenario:
             build_measurement_scenario(state=StateVector(np.ones(2)),
                                        settings=settings_tuple)
 
+    @pytest.mark.parametrize("mode", ["particle", "apparatus"])
+    @pytest.mark.parametrize("index", range(4))
+    def test_custom_route_refuses_a_setting_on_the_wrong_side(self, mode, index):
+        # particle mode places a setting by its side, apparatus mode by its
+        # name, so a contradicting side would make the two modes disagree
+        settings_list = list(hardy_settings(EQUAL))
+        wrong = "R" if settings_list[index].side == "L" else "L"
+        settings_list[index] = dataclasses.replace(settings_list[index],
+                                                   side=wrong)
+        with pytest.raises(ConfigError, match="side"):
+            build_measurement_scenario(state=hardy_state(EQUAL),
+                                       settings=settings_list, mode=mode)
+
     def test_scenario_keys_order(self):
         keys = scenario_keys()
         assert len(keys) == 16
@@ -272,6 +286,43 @@ class TestScenario:
         for ls, lo, rs, ro in keys:
             assert ls in L_SETTINGS and rs in R_SETTINGS
             assert lo[-1] in OUTCOME_SIGNS and ro[-1] in OUTCOME_SIGNS
+
+
+def spy_on_spectral_calls(monkeypatch) -> list[str]:
+    """Record every later np.linalg.eigh / eigvalsh call by name."""
+    calls: list[str] = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+class TestNoSpectralCheckOnBuiltStates:
+    """Every density operator a scenario builds comes with its factor, so no
+    build eigendecomposes one: the spectrum is checked only where a user
+    hands in a bare matrix."""
+
+    @pytest.mark.parametrize("mode", ["particle", "apparatus"])
+    def test_pure_state(self, monkeypatch, mode):
+        calls = spy_on_spectral_calls(monkeypatch)
+        build_measurement_scenario(EQUAL, mode=mode)
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["particle", "apparatus"])
+    def test_mixed_state(self, monkeypatch, mode):
+        psi = hardy_state(EQUAL).amps
+        noisy = qm.DensityOperator(0.95 * outer(psi)
+                                   + 0.05 * qm.identity(4) / 4.0)
+        calls = spy_on_spectral_calls(monkeypatch)
+        scenario = build_measurement_scenario(
+            state=noisy, settings=hardy_settings(EQUAL), mode=mode)
+        assert calls == []
+        assert verify_hardy_predictions(scenario).s4 > 0.0
 
 
 class TestSchedule:

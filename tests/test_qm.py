@@ -148,6 +148,10 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="hermitian"):
             DensityOperator(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
+    def test_from_state_requires_a_normalized_vector(self):
+        with pytest.raises(ValueError, match="normalized"):
+            DensityOperator.from_state(StateVector(np.array([1.0, 1.0])))
+
     def test_tensor_combines_pure_vectors(self):
         rho = DensityOperator.from_state(basis_state(2, 0))
         sigma = DensityOperator.from_state(basis_state(3, 2))
