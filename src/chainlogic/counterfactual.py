@@ -43,7 +43,7 @@ from .hardy import (
     no_signaling_report,
 )
 from .qm import SPECTRAL_TOL
-from .tree import BranchPath, FrameworkTree, _apply_member
+from .tree import BranchNode, BranchPath, FrameworkTree, _apply_member
 
 SUFFIX_SEPARATOR = " / "
 
@@ -125,8 +125,7 @@ class CounterfactualVerdict:
 def _declared_labels(tree: FrameworkTree, time_index: int) -> set[str]:
     """Labels the schedule declares at ``time_index`` under every grown
     prefix, pruned ones included."""
-    return {member.label for prefix, members in tree.resolved.items()
-            if len(prefix) == time_index - 1 for member in members}
+    return {path[-1] for path in tree.grown if len(path) == time_index}
 
 
 def _check_labels_in_framework(tree: FrameworkTree,
@@ -189,20 +188,19 @@ def find_pivot(tree: FrameworkTree, query: CounterfactualQuery,
 
 def _counterfactual_outcomes(tree: FrameworkTree, pivot: PivotPath,
                              query: CounterfactualQuery) -> dict[str, float]:
-    node = tree.node_at(pivot.path)
     try:
-        member = tree.schedule_member(query.pivot_time, pivot.path,
-                                      query.alternative)
+        alternative = tree.schedule_member(query.pivot_time, pivot.path,
+                                           query.alternative)
     except KeyError:
         raise FrameworkViolationError(
             f"alternative {query.alternative!r} is not offered at time index "
             f"{query.pivot_time} under branch {pivot.path!r}",
             path=pivot.path) from None
+    before = tree.grown[pivot.path].state
     state, _, prob = _apply_member(
-        node.state, tree.grid.evolution(query.pivot_time), member)
+        before, tree.grid.evolution(query.pivot_time), alternative, before)
     completions: list[tuple[tuple[str, ...], float]] = []
-    _descend(tree, query.pivot_time, pivot.path + (query.alternative,), state,
-             prob, (), completions)
+    _descend(tree, alternative, state, prob, (), completions)
     total = sum(p for _, p in completions)
     if total <= 0.0:
         raise VacuousPremiseError(
@@ -215,19 +213,20 @@ def _counterfactual_outcomes(tree: FrameworkTree, pivot: PivotPath,
     return merged
 
 
-def _descend(tree: FrameworkTree, time_index: int, path: BranchPath,
-             state: np.ndarray, prob: float, suffix: tuple[str, ...],
+def _descend(tree: FrameworkTree, node: BranchNode, state: np.ndarray,
+             prob: float, suffix: tuple[str, ...],
              completions: list[tuple[tuple[str, ...], float]]) -> None:
-    """Append every full-depth continuation of ``path`` to ``completions``
-    as (labels after the pivot, probability), in schedule order."""
-    if time_index == tree.depth:
+    """Append every full-depth continuation of the grown ``node``, reached
+    with ``state``, to ``completions`` as (labels after the pivot,
+    probability), in schedule order."""
+    if node.time_index == tree.depth:
         completions.append((suffix, prob))
         return
-    for nxt in tree.resolved[path]:
-        child_state, _, child_prob = _apply_member(
-            state, tree.grid.evolution(time_index + 1), nxt)
-        _descend(tree, time_index + 1, path + (nxt.label,), child_state,
-                 child_prob, suffix + (nxt.label,), completions)
+    evolution = tree.grid.evolution(node.time_index + 1)
+    for child in node.children:
+        child_state, _, child_prob = _apply_member(state, evolution, child, state)
+        _descend(tree, child, child_state, child_prob, suffix + (child.label,),
+                 completions)
 
 
 def evaluate_counterfactual(tree: FrameworkTree, query: CounterfactualQuery,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +47,7 @@ from .errors import (
 )
 from .histories import TimeGrid
 from .qm import (
+    ALGEBRA_TOL,
     DensityOperator,
     Projector,
     StateVector,
@@ -71,8 +72,6 @@ AMPLITUDE_NORM_TOL = 1e-12
 PHASE_FIX_FLOOR = 1e-12
 # Largest Gram-matrix defect accepted for a setting's outcome pair.
 SETTING_GRAM_TOL = 1e-10
-# Largest |U^dagger U - 1| entry accepted for a measurement unitary.
-UNITARITY_TOL = 1e-12
 
 L_SETTINGS = ("ML1", "ML2")
 R_SETTINGS = ("MR1", "MR2")
@@ -302,7 +301,7 @@ def measurement_unitary(setting1: MeasurementSetting,
         mix = q @ np.diag(r.diagonal() / np.abs(r.diagonal()))
     u = b @ a.conj().T + b_perp @ mix @ a_perp.conj().T
     defect = np.abs(u.conj().T @ u - identity(12)).max()
-    if defect > UNITARITY_TOL:
+    if defect > ALGEBRA_TOL:
         raise NumericalFaultError(
             f"measurement unitary failed unitarity by {defect:.3e}")
     return u
@@ -310,15 +309,13 @@ def measurement_unitary(setting1: MeasurementSetting,
 
 @dataclass(frozen=True, eq=False)
 class ApparatusModel:
-    """Register sizes, choice amplitudes, and the two measurement unitaries."""
+    """Choice amplitudes and the two measurement unitaries."""
 
     choice_amplitudes_l: tuple[complex, complex]
     choice_amplitudes_r: tuple[complex, complex]
     unitary_l: np.ndarray
     unitary_r: np.ndarray
     completion_seed: int | None = None
-
-    register_dim: int = field(default=6, init=False)
 
     def ready_state(self, side: str) -> np.ndarray:
         alpha, beta = (self.choice_amplitudes_l if side == "L"

@@ -13,7 +13,8 @@ schedule.  Each layer of the schedule is one of
     lets later decompositions depend on earlier outcomes.
 
 ``build_tree`` resolves and validates each layer once per branch path and
-keeps the result; later lookups on the tree only read it.
+keeps every node it grows in ``FrameworkTree.grown``; later lookups on the
+tree only read it.
 
 Node states are unnormalized square-root factors, not density matrices: a
 branch's operator is state state^dagger, grown from ``rho.factor`` (a vector
@@ -167,16 +168,16 @@ class PrunedBranch:
 class FrameworkTree:
     """Built (and possibly pruned) branching structure over a time grid.
 
-    ``resolved`` maps every branch path the build grew, pruned ones
-    included, to the schedule members declared directly under it.
+    ``grown`` maps every branch path the build grew, pruned ones included,
+    to its node as grown: a node's children are the members the schedule
+    declares under its path, in schedule order.
     """
 
     grid: TimeGrid
     rho: DensityOperator
     root: BranchNode
-    resolved: dict[BranchPath, tuple[_Member, ...]]
+    grown: dict[BranchPath, BranchNode]
     pruned: tuple[PrunedBranch, ...] = ()
-    prune_tol: float | None = None
 
     @property
     def dim(self) -> int:
@@ -224,35 +225,40 @@ class FrameworkTree:
             stack.extend(node.children)
         return tuple(sorted(found))
 
-    def _members_at(self, time_index: int, prefix: BranchPath) -> tuple[_Member, ...]:
+    def _members_at(self, time_index: int,
+                    prefix: BranchPath) -> tuple[BranchNode, ...]:
         prefix = tuple(prefix)
-        if len(prefix) != time_index - 1 or prefix not in self.resolved:
+        if (len(prefix) != time_index - 1 or time_index > self.depth
+                or prefix not in self.grown):
             raise ScheduleError(
                 f"no schedule layer at time index {time_index} under {prefix!r}")
-        return self.resolved[prefix]
+        return self.grown[prefix].children
 
     def member_labels(self, time_index: int, prefix: BranchPath) -> tuple[str, ...]:
         """Labels the schedule declares at ``time_index`` under ``prefix``."""
         return tuple(m.label for m in self._members_at(time_index, prefix))
 
     def schedule_member(self, time_index: int, prefix: BranchPath,
-                        label: str) -> _Member:
+                        label: str) -> BranchNode:
+        """The grown node of the member ``label`` declared at ``time_index``
+        under ``prefix``, pruned or not."""
         for member in self._members_at(time_index, prefix):
             if member.label == label:
                 return member
         raise KeyError(label)
 
 
-def _chain_step(x: np.ndarray, evolution: np.ndarray, member: _Member) -> np.ndarray:
+def _chain_step(x: np.ndarray, evolution: np.ndarray,
+                member: _Member | BranchNode) -> np.ndarray:
     x = evolution @ x
     return x if member.projector is None else member.projector.matrix @ x
 
 
-def _apply_member(state: np.ndarray, evolution: np.ndarray, member: _Member,
-                  ket: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
-    """Propagate a branch factor and its ket (default: the factor) through one
-    event into (state, ket, prob); state stays ket until a weight other than 1 applies."""
-    ket = state if ket is None else ket
+def _apply_member(state: np.ndarray, evolution: np.ndarray,
+                  member: _Member | BranchNode,
+                  ket: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Propagate a branch factor and its ket through one event into
+    (state, ket, prob); state stays ket until a weight other than 1 applies."""
     nxt_ket = _chain_step(ket, evolution, member)
     nxt = nxt_ket if state is ket else _chain_step(state, evolution, member)
     if member.weight != 1.0:
@@ -277,45 +283,43 @@ def build_tree(grid: TimeGrid, schedule: Sequence[LayerLike],
     if rho.dim != grid.dim:
         raise DimensionMismatchError("initial condition dim differs from grid dim")
 
-    resolved: dict[BranchPath, tuple[_Member, ...]] = {}
+    grown: dict[BranchPath, BranchNode] = {}
     root_state = rho.factor
-    root = _grow(grid, schedule, resolved, residual_tol, (), None, root_state,
+    root = _grow(grid, schedule, grown, residual_tol, (), None, root_state,
                  root_state, float(np.vdot(root_state, root_state).real))
-    return FrameworkTree(grid=grid, rho=rho, root=root, resolved=resolved)
+    return FrameworkTree(grid=grid, rho=rho, root=root, grown=grown)
 
 
 def _grow(grid: TimeGrid, schedule: Sequence[LayerLike],
-          resolved: dict[BranchPath, tuple[_Member, ...]], residual_tol: float,
+          grown: dict[BranchPath, BranchNode], residual_tol: float,
           path: BranchPath, member: _Member | None, state: np.ndarray,
           ket: np.ndarray, prob: float) -> BranchNode:
     """The node ``member`` opens at ``path`` (the root for None), grown to
-    full depth; each path's members are resolved into ``resolved``, parents
-    before children.  Module-level rather than a closure, so a built tree
-    holds no reference cycle and is freed as soon as it is dropped."""
+    full depth; each node is recorded in ``grown``, children before parents.
+    Module-level rather than a closure, so a built tree holds no reference
+    cycle and is freed as soon as it is dropped."""
     time_index = len(path)
-    children: tuple[BranchNode, ...] = ()
+    children: list[BranchNode] = []
     if time_index < grid.nsteps:
-        members = resolved[path] = _as_members(schedule[time_index], path,
-                                               grid.dim)
+        members = _as_members(schedule[time_index], path, grid.dim)
         evolution = grid.evolution(time_index + 1)
-        grown = []
         captured = 0.0
         for nxt in members:
-            child = _grow(grid, schedule, resolved, residual_tol, path + (nxt.label,),
+            child = _grow(grid, schedule, grown, residual_tol, path + (nxt.label,),
                           nxt, *_apply_member(state, evolution, nxt, ket))
-            grown.append(child)
+            children.append(child)
             captured += child.prob
         residual = prob - captured
         if residual > residual_tol:
             raise ScheduleError(
                 f"schedule members at time index {time_index + 1} leave "
                 f"probability {residual:.3e} unaccounted on branch {path!r}")
-        children = tuple(grown)
     label, projector, weight = ((None, None, 1.0) if member is None else
                                 (member.label, member.projector, member.weight))
-    return BranchNode(time_index=time_index, label=label, projector=projector,
-                      weight=weight, path=path, prob=prob, children=children,
-                      state=state, ket=ket)
+    node = grown[path] = BranchNode(
+        time_index=time_index, label=label, projector=projector, weight=weight,
+        path=path, prob=prob, children=tuple(children), state=state, ket=ket)
+    return node
 
 
 def prune_zero_branches(tree: FrameworkTree,
@@ -330,8 +334,7 @@ def prune_zero_branches(tree: FrameworkTree,
     if root is None:  # total weight below tolerance cannot happen for unit rho
         raise FrameworkViolationError("pruning removed the entire tree")
     return FrameworkTree(grid=tree.grid, rho=tree.rho, root=root,
-                         resolved=tree.resolved,
-                         pruned=tree.pruned + tuple(removed), prune_tol=tol)
+                         grown=tree.grown, pruned=tree.pruned + tuple(removed))
 
 
 def _rebuild(node: BranchNode, tol: float,
@@ -485,23 +488,13 @@ def enforce_single_framework(paths: Iterable[Iterable[str]],
                              tree: FrameworkTree) -> SingleFrameworkCheck:
     """Check that every path resolves inside this one tree's schedule.
 
-    Resolution consults the declared schedule, so paths through pruned
-    branches still resolve; any label foreign to the schedule is a
-    violation.
+    A path resolves when the build grew it, so paths through pruned
+    branches still resolve; any label foreign to the schedule, or declared
+    at another depth, is a violation.
     """
-    violations: list[BranchPath] = []
-    for raw in paths:
-        path = tuple(str(label) for label in raw)
-        if len(path) > tree.depth:
-            violations.append(path)
-            continue
-        prefix: BranchPath = ()
-        for depth, label in enumerate(path, start=1):
-            if label not in tree.member_labels(depth, prefix):
-                violations.append(path)
-                break
-            prefix = prefix + (label,)
-    return SingleFrameworkCheck(ok=not violations, violations=tuple(violations))
+    candidates = (tuple(str(label) for label in raw) for raw in paths)
+    violations = tuple(path for path in candidates if path not in tree.grown)
+    return SingleFrameworkCheck(ok=not violations, violations=violations)
 
 
 # -- export / import ---------------------------------------------------------
@@ -529,31 +522,22 @@ class TreeDocument:
 
 def tree_document(tree: FrameworkTree) -> TreeDocument:
     """Serializable snapshot of the tree, pruned branches flagged in place."""
-    pruned_map = {p.path: p.weight for p in tree.pruned}
     return TreeDocument(schema=TREE_SCHEMA_VERSION, kind="framework-tree",
                         dim=tree.dim, times=tree.grid.times,
-                        root=_node_doc(tree, pruned_map, tree.root))
+                        root=_node_doc(tree, tree.root))
 
 
-def _node_doc(tree: FrameworkTree, pruned_map: dict[BranchPath, float],
-              node: BranchNode) -> TreeNodeDocument:
-    children: list[TreeNodeDocument] = []
-    if node.time_index < tree.depth:
-        present = {child.label: child for child in node.children}
-        for label in tree.member_labels(node.time_index + 1, node.path):
-            if label in present:
-                children.append(_node_doc(tree, pruned_map, present[label]))
-            else:
-                stub_path = node.path + (label,)
-                if stub_path in pruned_map:
-                    children.append(TreeNodeDocument(
-                        label=label,
-                        time=tree.grid.times[node.time_index + 1],
-                        probability=pruned_map[stub_path],
-                        pruned=True, children=()))
+def _node_doc(tree: FrameworkTree, node: BranchNode) -> TreeNodeDocument:
+    present = {child.label: child for child in node.children}
+    children = tuple(
+        _node_doc(tree, present[child.label]) if child.label in present
+        else TreeNodeDocument(label=child.label,
+                              time=tree.grid.times[child.time_index],
+                              probability=child.prob, pruned=True, children=())
+        for child in tree.grown[node.path].children)
     return TreeNodeDocument(
         label=node.label, time=tree.grid.times[node.time_index],
-        probability=node.prob, pruned=False, children=tuple(children))
+        probability=node.prob, pruned=False, children=children)
 
 
 def import_tree_json(text: str) -> TreeDocument:

@@ -142,7 +142,7 @@ class TestExitCodes:
 
     def test_numerical_fault_has_its_own_code(self, capsys, monkeypatch):
         # no measurement unitary passes a negative tolerance
-        monkeypatch.setattr(hardy, "UNITARITY_TOL", -1.0)
+        monkeypatch.setattr(hardy, "ALGEBRA_TOL", -1.0)
         code, out, err = run_cli(capsys, "hardy")
         assert code == EXIT_SOFTWARE
         assert out == ""

@@ -234,6 +234,19 @@ class TestFrameworkGuards:
         assert verdict.impossible_outcomes == ("y+",)
         assert verdict.distribution["x+"] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("scenario", ["equal_particle", "equal_apparatus"])
+    def test_pruned_alternative_carries_no_probability(self, scenario, request):
+        tree = request.getfixturevalue(scenario).tree
+        assert ("ML1", "ML1-", "MR1", "MR1+") in {p.path for p in tree.pruned}
+        query = CounterfactualQuery(
+            premise={1: "ML1", 2: "ML1-", 3: "MR1", 4: "MR1-"},
+            pivot_time=4, alternative="MR1+")
+        with pytest.raises(VacuousPremiseError) as excinfo:
+            evaluate_counterfactual(tree, query)
+        assert str(excinfo.value) == (
+            "alternative 'MR1+' carries no probability under pivot "
+            "('ML1', 'ML1-', 'MR1')")
+
     def test_declared_labels_read_the_schedule_not_the_nodes(self):
         tree = replace(pruned_fork_tree(), root=None)
         assert _declared_labels(tree, 1) == {"a", "b"}
@@ -493,10 +506,10 @@ class TestLocalityReport:
         # six register states on each side, nothing else is a projector here
         assert len(built) == 12
         assert _register_projector.cache_info().currsize == 12
-        for path, members in first.unpruned_tree.resolved.items():
-            others = second.unpruned_tree.resolved[path]
+        for path, node in first.unpruned_tree.grown.items():
+            others = second.unpruned_tree.grown[path].children
             assert all(m.projector is o.projector
-                       for m, o in zip(members, others))
+                       for m, o in zip(node.children, others))
 
     def test_custom_state_route_skips_strict_gate(self):
         scenario = build_measurement_scenario(

@@ -350,8 +350,8 @@ class TestSchedule:
         # left (setting, outcome) branch
         for names, time_index, count in ((L_SETTINGS, 2, 1), (R_SETTINGS, 4, 4)):
             for name in names:
-                layers = [members for prefix, members
-                          in scenario.unpruned_tree.resolved.items()
+                layers = [node.children for prefix, node
+                          in scenario.unpruned_tree.grown.items()
                           if len(prefix) == time_index - 1
                           and prefix[-1] == name]
                 assert len(layers) == count

@@ -481,6 +481,34 @@ class TestSingleFramework:
         check = enforce_single_framework([("z+", "x+", "x+")], tree)
         assert not check.ok
 
+    @pytest.mark.parametrize("prune", [False, True], ids=["unpruned", "pruned"])
+    def test_root_and_prefixes_resolve(self, prune):
+        tree = prune_zero_branches(zx_tree()) if prune else zx_tree()
+        assert enforce_single_framework([(), ("z-",)], tree).ok
+
+    @pytest.mark.parametrize("path", [("x+",), ("z+", "z+")])
+    def test_declared_label_at_wrong_depth_flagged(self, path):
+        check = enforce_single_framework([path], zx_tree())
+        assert check.violations == (path,)
+
+
+class TestGrown:
+    def test_every_grown_node_is_recorded_under_its_path(self):
+        scenario = build_measurement_scenario(HardyAmplitudes.equal(),
+                                              mode="particle")
+        for tree in (zx_tree(), scenario.unpruned_tree):
+            nodes = list(all_nodes(tree))
+            assert tree.grown[()] is tree.root
+            assert all(tree.grown[node.path] is node for node in nodes)
+            assert len(tree.grown) == len(nodes)
+
+    def test_pruning_keeps_the_grown_record(self):
+        tree = zx_tree()
+        pruned = prune_zero_branches(tree)
+        assert pruned.grown is tree.grown
+        assert ("z-", "x+") in pruned.grown
+        assert pruned.grown[()] is not pruned.root
+
 
 class TestExport:
     def test_json_round_trip(self):
@@ -494,6 +522,22 @@ class TestExport:
         labels = {child["label"]: child for child in data["root"]["children"]}
         assert labels["z-"]["pruned"] is True
         assert labels["z+"]["pruned"] is False
+
+    def test_pruned_stubs_carry_the_recorded_weights(self):
+        scenario = build_measurement_scenario(HardyAmplitudes.equal(),
+                                              mode="particle")
+        tree = prune_zero_branches(scenario.tree, 0.05)
+        weights = {p.path: p.weight for p in tree.pruned}
+        stubs = {}
+        stack = [((), json.loads(export_tree(tree, "json"))["root"])]
+        while stack:
+            path, node = stack.pop()
+            if node["pruned"]:
+                stubs[path] = node["probability"]
+            stack.extend((path + (child["label"],), child)
+                         for child in node["children"])
+        assert ("ML2", "ML2+") in stubs  # removed by the second pruning
+        assert stubs == {path: weights[path] for path in stubs}
 
     def test_dot_output(self):
         tree = prune_zero_branches(zx_tree())
