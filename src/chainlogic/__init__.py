@@ -62,6 +62,7 @@ from .histories import (
 )
 from .qm import (
     DensityOperator,
+    LocalUnitary,
     ProjectiveDecomposition,
     Projector,
     StateVector,

@@ -66,6 +66,7 @@ from .histories import TimeGrid
 from .qm import Projector, StateVector, Tolerances, outer
 from .sweep import (
     FAMILIES,
+    FAMILY_RANGES,
     S4Maximum,
     SweepRow,
     maximize_s4,
@@ -110,14 +111,15 @@ class RunConfig:
 
 
 def _complex_from(entry, position: int) -> complex:
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return complex(entry)
-    if (isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in entry)):
-        return complex(entry[0], entry[1])
-    raise ConfigError(
-        f"amplitude {position} must be a number or a [re, im] pair")
+    parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in parts):
+        raise ConfigError(
+            f"amplitude {position} must be a number or a [re, im] pair")
+    # Python's json reads NaN, Infinity and overflowing literals as floats
+    if not all(math.isfinite(x) for x in parts):
+        raise ConfigError(f"amplitude {position} must be finite, got {entry!r}")
+    return complex(*parts)
 
 
 def _amplitudes_from(data) -> HardyAmplitudes:
@@ -447,13 +449,19 @@ def _cmd_counterfactual(args) -> int:
     return EXIT_OK
 
 
-def _parse_values(raw: str) -> list[float]:
+def _parse_values(raw: str, family: str) -> list[float]:
     try:
         values = [float(part) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad sweep values {raw!r}: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs at least one parameter value")
+    lo, hi = FAMILY_RANGES[family]
+    for value in values:
+        if not lo < value < hi:  # NaN fails both comparisons
+            raise ConfigError(
+                f"sweep value {value!r} lies outside the open range "
+                f"({lo:g}, {hi:g}) of family {family!r}")
     return values
 
 
@@ -507,7 +515,7 @@ def _cmd_sweep(args) -> int:
                     f"({result.evaluations} scenario evaluations)\n")
         _write_output(text, args.out)
         return EXIT_OK
-    rows = parameter_sweep(_parse_values(args.values), family=family,
+    rows = parameter_sweep(_parse_values(args.values, family), family=family,
                            mode=args.mode, choice_weights=config.choice_weights,
                            tolerances=config.tolerances)
     if args.format == "json":
@@ -580,7 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="scan amplitude families")
     common(p)
     p.add_argument("--values", default="0.5,0.1,0.01",
-                   help="comma-separated family parameters")
+                   help="comma-separated family parameters, each inside "
+                        "the family's open range")
     p.add_argument("--family", choices=FAMILIES,
                    help="amplitude family (default: symmetric_outer; "
                         "equal_tail when maximizing)")

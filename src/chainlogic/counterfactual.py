@@ -197,8 +197,8 @@ def _counterfactual_outcomes(tree: FrameworkTree, pivot: PivotPath,
             f"{query.pivot_time} under branch {pivot.path!r}",
             path=pivot.path) from None
     before = tree.grown[pivot.path].state
-    state, _, prob = _apply_member(
-        before, tree.grid.evolution(query.pivot_time), alternative, before)
+    state, _, prob = _apply_member(before, tree.grid, query.pivot_time,
+                                   alternative, before)
     completions: list[tuple[tuple[str, ...], float]] = []
     _descend(tree, alternative, state, prob, (), completions)
     total = sum(p for _, p in completions)
@@ -222,9 +222,9 @@ def _descend(tree: FrameworkTree, node: BranchNode, state: np.ndarray,
     if node.time_index == tree.depth:
         completions.append((suffix, prob))
         return
-    evolution = tree.grid.evolution(node.time_index + 1)
     for child in node.children:
-        child_state, _, child_prob = _apply_member(state, evolution, child, state)
+        child_state, _, child_prob = _apply_member(
+            state, tree.grid, child.time_index, child, state)
         _descend(tree, child, child_state, child_prob, suffix + (child.label,),
                  completions)
 

@@ -49,12 +49,14 @@ from .histories import TimeGrid
 from .qm import (
     ALGEBRA_TOL,
     DensityOperator,
+    LocalUnitary,
     Projector,
     StateVector,
     Tolerances,
     embed_operator,
     identity,
     outer,
+    unitarity_defect,
 )
 from .tree import (
     ClassicalChoice,
@@ -286,8 +288,9 @@ def measurement_unitary(setting1: MeasurementSetting,
     for k, setting in ((1, setting1), (2, setting2)):
         for sign in OUTCOME_SIGNS:
             qubit = setting.vector(sign)
-            columns_in.append(np.kron(qubit, reg[_READY[k]]))
-            columns_out.append(np.kron(qubit, reg[_POINTER[(k, sign)]]))
+            # outer(...).ravel() is kron of two vectors, entry for entry
+            columns_in.append(np.outer(qubit, reg[_READY[k]]).ravel())
+            columns_out.append(np.outer(qubit, reg[_POINTER[(k, sign)]]).ravel())
     a = np.column_stack(columns_in)
     b = np.column_stack(columns_out)
     a_perp = np.linalg.svd(a, full_matrices=True)[0][:, 4:]
@@ -300,8 +303,8 @@ def measurement_unitary(setting1: MeasurementSetting,
         q, r = np.linalg.qr(z)
         mix = q @ np.diag(r.diagonal() / np.abs(r.diagonal()))
     u = b @ a.conj().T + b_perp @ mix @ a_perp.conj().T
-    defect = np.abs(u.conj().T @ u - identity(12)).max()
-    if defect > ALGEBRA_TOL:
+    defect = unitarity_defect(u)
+    if not defect <= ALGEBRA_TOL:
         raise NumericalFaultError(
             f"measurement unitary failed unitarity by {defect:.3e}")
     return u
@@ -473,10 +476,9 @@ def build_measurement_scenario(
         else:
             rho = pair_state.tensor(DensityOperator.from_state(
                 StateVector(np.kron(chi_l, chi_r))))
-        dim = 144
-        u_l_full = embed_operator(u_l, _APPARATUS_DIMS, (0, 2))
-        u_r_full = embed_operator(u_r, _APPARATUS_DIMS, (1, 3))
-        grid = TimeGrid(times, (identity(dim), u_l_full, identity(dim), u_r_full))
+        unmoved = LocalUnitary(identity(1), _APPARATUS_DIMS, ())
+        grid = TimeGrid(times, (unmoved, LocalUnitary(u_l, _APPARATUS_DIMS, (0, 2)),
+                                unmoved, LocalUnitary(u_r, _APPARATUS_DIMS, (1, 3))))
         schedule = _schedule(
             setting_tuple,
             [("ML1", _register_projector("L", 0)), ("ML2", _register_projector("L", 1))],

@@ -24,9 +24,11 @@ from .qm import (
     ALGEBRA_TOL,
     SPECTRAL_TOL,
     DensityOperator,
+    LocalUnitary,
     Projector,
     identity,
     pair_defects,
+    unitarity_defect,
 )
 
 NEGATIVITY_FLOOR = 1e-12
@@ -37,11 +39,30 @@ class TimeGrid:
     """Strictly increasing times with one unitary per interval.
 
     ``evolutions[i]`` maps states at ``times[i]`` to states at ``times[i+1]``.
-    Times are abstract ordering labels with no physical units.
+    Times are abstract ordering labels with no physical units.  Each step is
+    one of three kinds, told apart by what is passed for it:
+
+      * dense: a square array, checked U^dagger U = I at its own size;
+      * local: a ``LocalUnitary``, checked at the size of its ``op`` and
+        embedded once with ``embed_operator``, then applied as that dense
+        matrix.  The small check covers the embedding: it is op (x) I
+        followed by a permutation P of the basis, so its U^dagger U is
+        P ((op^dagger op) (x) I) P^T, the same entries moved, and its defect
+        is op's;
+      * identity: a ``LocalUnitary`` whose ``op`` is exactly the identity
+        (``TimeGrid.identity`` passes the one on no sites).  It holds no
+        matrix and ``evolve`` returns its input, equal entry for entry to
+        I @ x (which may only flip the sign of a zero).
+
+    ``evolve`` is the one way propagation applies a step; ``evolution``
+    gives the step's matrix, building the identity only when asked.
     """
 
     times: tuple[float, ...]
-    evolutions: tuple[np.ndarray, ...]
+    evolutions: tuple[np.ndarray | LocalUnitary, ...]
+    # per step, the matrix evolve applies, or None for an identity step
+    _applied: tuple[np.ndarray | None, ...] = field(init=False, repr=False)
+    _dim: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         times = tuple(float(t) for t in self.times)
@@ -51,43 +72,63 @@ class TimeGrid:
             raise ValueError("times must be strictly increasing")
         if len(self.evolutions) != len(times) - 1:
             raise ValueError("need exactly one evolution per time interval")
-        frozen = []
+        steps: list[np.ndarray | LocalUnitary] = []
+        applied: list[np.ndarray | None] = []
         dim = None
         for i, u in enumerate(self.evolutions):
-            arr = np.asarray(u, dtype=np.complex128)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"evolution {i} is not a square matrix")
+            if isinstance(u, LocalUnitary):
+                step_dim, matrix = u.dim, None if u.is_identity else u.embedded()
+            else:
+                u = np.array(u, dtype=np.complex128)
+                if u.ndim != 2 or u.shape[0] != u.shape[1]:
+                    raise ValueError(f"evolution {i} is not a square matrix")
+                defect = unitarity_defect(u)
+                if not defect <= ALGEBRA_TOL:
+                    raise ValueError(
+                        f"evolution {i} is not unitary (defect {defect:.3e})")
+                step_dim, matrix = len(u), u
             if dim is None:
-                dim = arr.shape[0]
-            elif arr.shape[0] != dim:
+                dim = step_dim
+            elif step_dim != dim:
                 raise DimensionMismatchError("evolutions act on different spaces")
-            defect = np.abs(arr.conj().T @ arr - identity(dim)).max()
-            if defect > ALGEBRA_TOL:
-                raise ValueError(f"evolution {i} is not unitary (defect {defect:.3e})")
-            arr = np.array(arr)
-            arr.setflags(write=False)
-            frozen.append(arr)
+            if matrix is not None:
+                matrix.setflags(write=False)
+            steps.append(u)
+            applied.append(matrix)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "evolutions", tuple(frozen))
+        object.__setattr__(self, "evolutions", tuple(steps))
+        object.__setattr__(self, "_applied", tuple(applied))
+        object.__setattr__(self, "_dim", dim)
 
     @classmethod
     def identity(cls, times: Sequence[float], dim: int) -> "TimeGrid":
         steps = len(tuple(times)) - 1
-        return cls(tuple(times), tuple(identity(dim) for _ in range(steps)))
+        return cls(tuple(times), (LocalUnitary(identity(1), (dim,), ()),) * steps)
 
     @property
     def dim(self) -> int:
-        return self.evolutions[0].shape[0]
+        return self._dim
 
     @property
     def nsteps(self) -> int:
         return len(self.evolutions)
 
-    def evolution(self, time_index: int) -> np.ndarray:
-        """Unitary carrying ``times[time_index - 1]`` to ``times[time_index]``."""
+    def _step(self, time_index: int) -> np.ndarray | None:
         if not 1 <= time_index <= self.nsteps:
             raise ValueError(f"time index {time_index} out of range")
-        return self.evolutions[time_index - 1]
+        return self._applied[time_index - 1]
+
+    def evolution(self, time_index: int) -> np.ndarray:
+        """Unitary carrying ``times[time_index - 1]`` to ``times[time_index]``."""
+        u = self._step(time_index)
+        return identity(self._dim) if u is None else u
+
+    def evolve(self, time_index: int, x: np.ndarray) -> np.ndarray:
+        """``x`` (a vector or a matrix of columns) carried from
+        ``times[time_index - 1]`` to ``times[time_index]``: ``x`` itself
+        across an identity step, else U @ x."""
+        u = self._step(time_index)
+        return x if u is None else u @ x
 
 
 @dataclass(frozen=True)
@@ -133,7 +174,7 @@ def chain_apply(history: History, vector: np.ndarray) -> np.ndarray:
     without forming the operator."""
     out = np.asarray(vector, dtype=np.complex128)
     for ev in history.events:
-        out = ev.projector.matrix @ (history.grid.evolution(ev.time_index) @ out)
+        out = ev.projector.matrix @ history.grid.evolve(ev.time_index, out)
     return out
 
 

@@ -84,6 +84,12 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a @ b - b @ a).max())
 
 
+def unitarity_defect(u: np.ndarray) -> float:
+    """Max-entry magnitude of U^dagger U - I for a square ``u``; NaN when
+    ``u`` has a non-finite entry, so callers refuse ``not defect <= tol``."""
+    return float(np.abs(u.conj().T @ u - identity(len(u))).max())
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitude vector with strictly positive norm."""
@@ -392,14 +398,10 @@ def tensor_product(left, right):
         f"tensor of mixed kinds: {type(left).__name__} with {type(right).__name__}")
 
 
-def embed_operator(op: np.ndarray, dims: Sequence[int],
-                   sites: Sequence[int]) -> np.ndarray:
-    """Embed an operator acting on ``sites`` (in that order) into the full
-    tensor product space with factor dimensions ``dims``.
-
-    ``op`` must be square with dimension equal to the product of the site
-    dimensions.  Identity acts on all remaining factors.
-    """
+def _embedding(op: np.ndarray, dims: Sequence[int], sites: Sequence[int]
+               ) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """(op, dims, sites) as complex array and int tuples; refuses repeated or
+    out-of-range sites and an ``op`` that is not square over the site dims."""
     dims = tuple(int(d) for d in dims)
     sites = tuple(int(s) for s in sites)
     if len(set(sites)) != len(sites):
@@ -411,6 +413,18 @@ def embed_operator(op: np.ndarray, dims: Sequence[int],
     if op.shape != (site_dim, site_dim):
         raise DimensionMismatchError(
             f"operator shape {op.shape} does not match site dims product {site_dim}")
+    return op, dims, sites
+
+
+def embed_operator(op: np.ndarray, dims: Sequence[int],
+                   sites: Sequence[int]) -> np.ndarray:
+    """Embed an operator acting on ``sites`` (in that order) into the full
+    tensor product space with factor dimensions ``dims``.
+
+    ``op`` must be square with dimension equal to the product of the site
+    dimensions.  Identity acts on all remaining factors.
+    """
+    op, dims, sites = _embedding(op, dims, sites)
     rest = [i for i in range(len(dims)) if i not in sites]
     rest_dim = int(np.prod([dims[i] for i in rest])) if rest else 1
     full = np.kron(op, identity(rest_dim))
@@ -423,3 +437,45 @@ def embed_operator(op: np.ndarray, dims: Sequence[int],
     tens = tens.transpose(list(inverse) + [n + i for i in inverse])
     total = int(np.prod(dims))
     return np.ascontiguousarray(tens.reshape(total, total))
+
+
+@dataclass(frozen=True, eq=False)
+class LocalUnitary:
+    """A unitary ``op`` on the factors ``sites`` of a tensor-product space
+    with factor dimensions ``dims``, and the identity on every other factor.
+
+    ``op`` is checked U^dagger U = I at its own size, against
+    ``ALGEBRA_TOL``; ``embedded`` gives the operator on the whole space.
+    With ``op`` exactly the identity it is the identity of the whole space,
+    whose shortest form is ``LocalUnitary(identity(1), dims, ())``.
+    """
+
+    op: np.ndarray
+    dims: tuple[int, ...]
+    sites: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        op, dims, sites = _embedding(self.op, self.dims, self.sites)
+        defect = unitarity_defect(op)
+        if not defect <= ALGEBRA_TOL:
+            raise ValueError(
+                f"local operator on sites {sites} is not unitary "
+                f"(defect {defect:.3e})")
+        object.__setattr__(self, "op", _frozen_complex(op))
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "sites", sites)
+
+    def __repr__(self) -> str:
+        return f"LocalUnitary(dims={self.dims}, sites={self.sites})"
+
+    @property
+    def dim(self) -> int:
+        return int(np.prod(self.dims))
+
+    @property
+    def is_identity(self) -> bool:
+        """True when ``op`` is exactly the identity, entry for entry."""
+        return bool(np.array_equal(self.op, identity(len(self.op))))
+
+    def embedded(self) -> np.ndarray:
+        return embed_operator(self.op, self.dims, self.sites)

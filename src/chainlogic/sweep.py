@@ -31,7 +31,10 @@ from .hardy import (
 )
 from .qm import Tolerances
 
-FAMILIES = ("symmetric_outer", "equal_tail")
+# Each family's parameter range, open at both ends (see HardyAmplitudes).
+FAMILY_RANGES = {"symmetric_outer": (0.0, 1.0),
+                 "equal_tail": (0.0, math.sqrt(0.5))}
+FAMILIES = tuple(FAMILY_RANGES)
 
 
 def family_amplitudes(family: str, parameter: float) -> HardyAmplitudes:
@@ -126,12 +129,10 @@ def maximize_s4(*, family: str = "equal_tail", mode: str = "particle",
     Every evaluation builds a scenario and reads the probability from its
     tree, so the optimum certifies the engine rather than a formula.
     """
-    if family == "symmetric_outer":
-        lo, hi = S4_BRACKET_MARGIN, 1.0 - S4_BRACKET_MARGIN
-    elif family == "equal_tail":
-        lo, hi = S4_BRACKET_MARGIN, math.sqrt(0.5) - S4_BRACKET_MARGIN
-    else:
+    if family not in FAMILY_RANGES:
         raise ValueError(f"unknown amplitude family {family!r}")
+    lo, hi = FAMILY_RANGES[family]
+    lo, hi = lo + S4_BRACKET_MARGIN, hi - S4_BRACKET_MARGIN
 
     evaluations = 0
 

@@ -248,19 +248,20 @@ class FrameworkTree:
         raise KeyError(label)
 
 
-def _chain_step(x: np.ndarray, evolution: np.ndarray,
+def _chain_step(x: np.ndarray, grid: TimeGrid, time_index: int,
                 member: _Member | BranchNode) -> np.ndarray:
-    x = evolution @ x
+    x = grid.evolve(time_index, x)
     return x if member.projector is None else member.projector.matrix @ x
 
 
-def _apply_member(state: np.ndarray, evolution: np.ndarray,
+def _apply_member(state: np.ndarray, grid: TimeGrid, time_index: int,
                   member: _Member | BranchNode,
                   ket: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Propagate a branch factor and its ket through one event into
-    (state, ket, prob); state stays ket until a weight other than 1 applies."""
-    nxt_ket = _chain_step(ket, evolution, member)
-    nxt = nxt_ket if state is ket else _chain_step(state, evolution, member)
+    """Propagate a branch factor and its ket through the step into
+    ``time_index`` and its event into (state, ket, prob); state stays ket
+    until a weight other than 1 applies."""
+    nxt_ket = _chain_step(ket, grid, time_index, member)
+    nxt = nxt_ket if state is ket else _chain_step(state, grid, time_index, member)
     if member.weight != 1.0:
         nxt = np.sqrt(member.weight) * nxt
     return nxt, nxt_ket, float(np.vdot(nxt, nxt).real)
@@ -302,11 +303,10 @@ def _grow(grid: TimeGrid, schedule: Sequence[LayerLike],
     children: list[BranchNode] = []
     if time_index < grid.nsteps:
         members = _as_members(schedule[time_index], path, grid.dim)
-        evolution = grid.evolution(time_index + 1)
         captured = 0.0
         for nxt in members:
             child = _grow(grid, schedule, grown, residual_tol, path + (nxt.label,),
-                          nxt, *_apply_member(state, evolution, nxt, ket))
+                          nxt, *_apply_member(state, grid, time_index + 1, nxt, ket))
             children.append(child)
             captured += child.prob
         residual = prob - captured
@@ -331,7 +331,7 @@ def prune_zero_branches(tree: FrameworkTree,
     """
     removed: list[PrunedBranch] = []
     root = _rebuild(tree.root, tol, removed)
-    if root is None:  # total weight below tolerance cannot happen for unit rho
+    if not root.children:  # the root itself, unlabeled, is never removed
         raise FrameworkViolationError("pruning removed the entire tree")
     return FrameworkTree(grid=tree.grid, rho=tree.rho, root=root,
                          grown=tree.grown, pruned=tree.pruned + tuple(removed))

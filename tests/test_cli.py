@@ -121,6 +121,25 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "refusing to rescale" in err
 
+    @pytest.mark.parametrize("literal", [
+        "[NaN, 0.5, 0.5]", "[0.5, [0.5, Infinity], 0.5]", "[-Infinity, 0.5, 0.5]",
+    ])
+    def test_non_finite_amplitudes_refused(self, capsys, tmp_path, literal):
+        # Python's json reads the NaN and Infinity literals as floats
+        path = tmp_path / "config.json"
+        path.write_text('{"amplitudes": %s}' % literal)
+        code, out, err = run_cli(capsys, "hardy", "--config", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "must be finite" in err
+
+    def test_prune_tolerance_that_empties_the_tree(self, capsys, write_config):
+        path = write_config({"tolerances": {"prune": 0.2}})
+        code, out, err = run_cli(capsys, "hardy", "--config", path)
+        assert code == 1
+        assert out == ""
+        assert "pruning removed the entire tree" in err
+
     @pytest.mark.parametrize("weights, side", [
         ([[1.0, 0.0], [0.5, 0.5]], "L"),
         ([[0.5, 0.5], [0.0, 1.0]], "R"),
@@ -361,6 +380,19 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--values", "0.5,zebra")
         assert code == EXIT_USAGE
         assert "bad sweep values" in err
+
+    @pytest.mark.parametrize("family, values", [
+        ("symmetric_outer", "0.5,1.5"), ("symmetric_outer", "0"),
+        ("symmetric_outer", "nan"), ("equal_tail", "0.71"),
+        ("equal_tail", "-inf"),
+    ])
+    def test_values_outside_the_family_range(self, capsys, family, values):
+        code, out, err = run_cli(capsys, "sweep", "--family", family,
+                                 f"--values={values}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "outside the open range" in err
+        assert repr(family) in err
 
     def test_family_choices_enforced(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

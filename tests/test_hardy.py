@@ -29,8 +29,11 @@ from chainlogic.hardy import (
     scenario_keys,
     verify_hardy_predictions,
 )
+from chainlogic import hardy as hardy_module
 from chainlogic import qm
-from chainlogic.qm import Projector, StateVector, outer
+from chainlogic.counterfactual import locality_report
+from chainlogic.histories import TimeGrid
+from chainlogic.qm import LocalUnitary, Projector, StateVector, embed_operator, outer
 from chainlogic.tree import ClassicalChoice
 from strategies import strict_triples
 
@@ -428,6 +431,51 @@ class TestNoSignaling:
         assert math.isnan(table[("ML2", "MR1")][("ML2+", "MR1+")])
         report = no_signaling_report(scenario)
         assert not report.passes  # NaN discrepancies cannot certify anything
+
+
+def all_dense(times, steps):
+    """The reference grid: every step an explicit 144x144 matrix, the
+    identity steps included."""
+    return TimeGrid(times, tuple(embed_operator(s.op, s.dims, s.sites)
+                                 for s in steps))
+
+
+class TestStructuredGrid:
+    """The apparatus grid skips its identity steps and checks its measurement
+    steps at 12x12; the all-dense grid multiplies and checks every step at
+    144x144.  Both must grow the same tree, entry for entry."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(amplitudes=EQUAL),
+        dict(amplitudes=HardyAmplitudes.random(np.random.default_rng(5)),
+             choice_weights=((0.3, 0.7), (0.8, 0.2)), completion_seed=4),
+        dict(state=qm.DensityOperator(0.9 * outer(hardy_state(EQUAL).amps)
+                                      + 0.1 * qm.identity(4) / 4.0),
+             settings=hardy_settings(EQUAL)),
+    ], ids=["equal", "random-uneven-seeded", "mixed"])
+    def test_same_tree_as_the_all_dense_grid(self, monkeypatch, kwargs):
+        structured = build_measurement_scenario(mode="apparatus", **kwargs)
+        monkeypatch.setattr(hardy_module, "TimeGrid", all_dense)
+        dense = build_measurement_scenario(mode="apparatus", **kwargs)
+        assert [type(u) for u in structured.grid.evolutions] == [LocalUnitary] * 4
+        assert all(isinstance(u, np.ndarray) for u in dense.grid.evolutions)
+        for t in range(1, 5):
+            assert np.array_equal(structured.grid.evolution(t),
+                                  dense.grid.evolution(t))
+        grown = structured.unpruned_tree.grown
+        assert grown.keys() == dense.unpruned_tree.grown.keys()
+        for path, node in grown.items():
+            other = dense.unpruned_tree.grown[path]
+            assert np.array_equal(node.state, other.state), path
+            assert np.array_equal(node.ket, other.ket), path
+            assert node.prob == other.prob, path
+        assert (structured.tree.leaf_probabilities()
+                == dense.tree.leaf_probabilities())
+        assert (structured.consistency.worst_magnitude
+                == dense.consistency.worst_magnitude)
+        ours, theirs = locality_report(structured), locality_report(dense)
+        for setting in ("ML1", "ML2"):
+            assert ours.verdict(setting) == theirs.verdict(setting)
 
 
 class TestApparatusMode:

@@ -6,7 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from chainlogic.errors import FrameworkViolationError, NumericalFaultError
+from chainlogic.errors import (
+    DimensionMismatchError,
+    FrameworkViolationError,
+    NumericalFaultError,
+)
 from chainlogic.histories import (
     NEGATIVITY_FLOOR,
     History,
@@ -22,9 +26,11 @@ from chainlogic.histories import (
 )
 from chainlogic.qm import (
     DensityOperator,
+    LocalUnitary,
     Projector,
     StateVector,
     basis_state,
+    embed_operator,
     identity,
     outer,
 )
@@ -58,8 +64,46 @@ class TestTimeGrid:
             TimeGrid.identity((0.0,), 2)
 
     def test_requires_unitaries(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"evolution 0 is not unitary \(defect 7.500e-01\)"):
             TimeGrid((0.0, 1.0), (np.diag([1.0, 0.5]),))
+
+    def test_refuses_non_finite_dense_step(self):
+        with pytest.raises(ValueError,
+                           match=r"evolution 1 is not unitary \(defect nan\)"):
+            TimeGrid((0.0, 1.0, 2.0), (identity(2), np.diag([1.0, np.nan])))
+
+    @pytest.mark.parametrize("op, defect", [
+        (np.diag([1.0, 0.5]), "7.500e-01"), (np.diag([np.nan, 1.0]), "nan"),
+    ], ids=["shrinking", "non-finite"])
+    def test_local_step_checked_at_its_own_size(self, op, defect):
+        with pytest.raises(ValueError, match=r"local operator on sites \(1,\) "
+                           rf"is not unitary \(defect {defect}\)"):
+            TimeGrid((0.0, 1.0), (LocalUnitary(op, (3, 2), (1,)),))
+
+    def test_local_step_is_its_embedding(self, rng):
+        q = np.linalg.qr(rng.standard_normal((4, 4))
+                         + 1j * rng.standard_normal((4, 4)))[0]
+        grid = TimeGrid((0.0, 1.0, 2.0),
+                        (LocalUnitary(q, (2, 3, 2), (2, 0)), identity(12)))
+        assert np.array_equal(grid.evolution(1),
+                              embed_operator(q, (2, 3, 2), (2, 0)))
+        x = rng.standard_normal((12, 2)) + 0j
+        assert np.array_equal(grid.evolve(1, x), grid.evolution(1) @ x)
+
+    def test_identity_steps_hold_no_matrix(self):
+        grid = TimeGrid.identity((0.0, 1.0, 2.0), 3)
+        x = np.arange(3, dtype=complex)
+        for t in (1, 2):
+            assert np.array_equal(grid.evolution(t), identity(3))
+            assert grid.evolve(t, x) is x
+        with pytest.raises(ValueError, match="out of range"):
+            grid.evolve(3, x)
+
+    def test_steps_share_one_space(self):
+        with pytest.raises(DimensionMismatchError):
+            TimeGrid((0.0, 1.0, 2.0),
+                     (identity(4), LocalUnitary(identity(2), (2, 3), (0,))))
 
     def test_evolution_indexing(self):
         u = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

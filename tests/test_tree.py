@@ -10,6 +10,7 @@ from chainlogic import histories, tree as tree_module
 from chainlogic.counterfactual import locality_report
 from chainlogic.errors import (
     DuplicateLabelError,
+    FrameworkViolationError,
     PvmOrthogonalityError,
     ScheduleError,
 )
@@ -195,6 +196,12 @@ class TestPruning:
         assert probs[("a",)] == pytest.approx(0.7, abs=1e-12)
         assert tree.pruned == tuple(
             p for p in tree.pruned if p.path == ("b",))
+
+    def test_tolerance_above_every_branch_is_refused(self):
+        # every branch of the zx tree weighs at most 1/2
+        with pytest.raises(FrameworkViolationError,
+                           match="pruning removed the entire tree"):
+            prune_zero_branches(zx_tree(), tol=0.6)
 
 
 class TestTreeConsistency:
