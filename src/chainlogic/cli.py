@@ -449,6 +449,9 @@ def _cmd_counterfactual(args) -> int:
     return EXIT_OK
 
 
+DEFAULT_SWEEP_VALUES = "0.5,0.1,0.01"
+
+
 def _parse_values(raw: str, family: str) -> list[float]:
     try:
         values = [float(part) for part in raw.split(",") if part.strip()]
@@ -501,6 +504,9 @@ def _cmd_sweep(args) -> int:
     family = args.family or ("equal_tail" if args.maximize_s4
                              else "symmetric_outer")
     if args.maximize_s4:
+        if args.values is not None:
+            raise ConfigError("--values has no effect with --maximize-s4, "
+                              "which searches the family's whole range")
         result = maximize_s4(family=family, mode=args.mode,
                              tolerances=config.tolerances)
         if args.format == "json":
@@ -515,7 +521,8 @@ def _cmd_sweep(args) -> int:
                     f"({result.evaluations} scenario evaluations)\n")
         _write_output(text, args.out)
         return EXIT_OK
-    rows = parameter_sweep(_parse_values(args.values, family), family=family,
+    values = DEFAULT_SWEEP_VALUES if args.values is None else args.values
+    rows = parameter_sweep(_parse_values(values, family), family=family,
                            mode=args.mode, choice_weights=config.choice_weights,
                            tolerances=config.tolerances)
     if args.format == "json":
@@ -587,9 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="scan amplitude families")
     common(p)
-    p.add_argument("--values", default="0.5,0.1,0.01",
+    p.add_argument("--values",
                    help="comma-separated family parameters, each inside "
-                        "the family's open range")
+                        f"the family's open range (default: {DEFAULT_SWEEP_VALUES}); "
+                        "refused with --maximize-s4")
     p.add_argument("--family", choices=FAMILIES,
                    help="amplitude family (default: symmetric_outer; "
                         "equal_tail when maximizing)")

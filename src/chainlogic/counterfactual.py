@@ -27,7 +27,7 @@ branch at the pivot time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -43,7 +43,7 @@ from .hardy import (
     no_signaling_report,
 )
 from .qm import SPECTRAL_TOL
-from .tree import BranchNode, BranchPath, FrameworkTree, _apply_member
+from .tree import BranchNode, BranchPath, FrameworkTree, _apply_event
 
 SUFFIX_SEPARATOR = " / "
 
@@ -83,7 +83,9 @@ class CounterfactualQuery:
 class PivotPath:
     """A pre-pivot branch compatible with the premise.
 
-    ``posterior`` is its probability given the premise; ``outcomes`` maps
+    ``posterior`` is its probability given the premise, and
+    ``premise_probability`` the premise's total weight it was divided by
+    (the same for every pivot of one query); ``outcomes`` maps
     counterfactual continuation labels (times after the pivot, joined with
     ``SUFFIX_SEPARATOR``) to probabilities conditional on this pivot and on
     the alternative being taken.  Empty until the alternative is evaluated.
@@ -91,6 +93,7 @@ class PivotPath:
 
     path: BranchPath
     posterior: float
+    premise_probability: float
     outcomes: Mapping[str, float] = field(default_factory=dict)
 
 
@@ -174,7 +177,7 @@ def find_pivot(tree: FrameworkTree, query: CounterfactualQuery,
         if all(leaf.path[t - 1] == label for t, label in query.premise.items()):
             matching.append(leaf)
     total = sum(leaf.prob for leaf in matching)
-    if total <= tol:
+    if total <= tol or total <= 0.0:  # no weight is vacuous at any tol
         raise VacuousPremiseError(
             f"premise {dict(sorted(query.premise.items()))!r} has probability "
             f"{total:.3e}; conditioning on it is undefined")
@@ -182,7 +185,8 @@ def find_pivot(tree: FrameworkTree, query: CounterfactualQuery,
     for leaf in matching:
         prefix = leaf.path[:query.pivot_time - 1]
         byprefix[prefix] = byprefix.get(prefix, 0.0) + leaf.prob
-    return tuple(PivotPath(path=prefix, posterior=weight / total)
+    return tuple(PivotPath(path=prefix, posterior=weight / total,
+                           premise_probability=total)
                  for prefix, weight in sorted(byprefix.items()))
 
 
@@ -196,9 +200,8 @@ def _counterfactual_outcomes(tree: FrameworkTree, pivot: PivotPath,
             f"alternative {query.alternative!r} is not offered at time index "
             f"{query.pivot_time} under branch {pivot.path!r}",
             path=pivot.path) from None
-    before = tree.grown[pivot.path].state
-    state, _, prob = _apply_member(before, tree.grid, query.pivot_time,
-                                   alternative, before)
+    evolved = tree.grid.evolve(query.pivot_time, tree.grown[pivot.path].state)
+    state, _, prob = _apply_event(evolved, alternative, evolved)
     completions: list[tuple[tuple[str, ...], float]] = []
     _descend(tree, alternative, state, prob, (), completions)
     total = sum(p for _, p in completions)
@@ -218,13 +221,14 @@ def _descend(tree: FrameworkTree, node: BranchNode, state: np.ndarray,
              completions: list[tuple[tuple[str, ...], float]]) -> None:
     """Append every full-depth continuation of the grown ``node``, reached
     with ``state``, to ``completions`` as (labels after the pivot,
-    probability), in schedule order."""
+    probability), in schedule order; ``state`` is evolved to the children's
+    time once."""
     if node.time_index == tree.depth:
         completions.append((suffix, prob))
         return
+    evolved = tree.grid.evolve(node.time_index + 1, state)
     for child in node.children:
-        child_state, _, child_prob = _apply_member(
-            state, tree.grid, child.time_index, child, state)
+        child_state, _, child_prob = _apply_event(evolved, child, evolved)
         _descend(tree, child, child_state, child_prob, suffix + (child.label,),
                  completions)
 
@@ -239,14 +243,8 @@ def evaluate_counterfactual(tree: FrameworkTree, query: CounterfactualQuery,
     each), and outcomes unreachable from every pivot (below ``tol`` in each)
     are reported as impossible.
     """
-    pivots = tuple(
-        PivotPath(path=p.path, posterior=p.posterior,
-                  outcomes=_counterfactual_outcomes(tree, p, query))
-        for p in find_pivot(tree, query, tol))
-    matching_total = sum(
-        leaf.prob for leaf in tree.leaves()
-        if len(leaf.path) == tree.depth
-        and all(leaf.path[t - 1] == label for t, label in query.premise.items()))
+    pivots = tuple(replace(p, outcomes=_counterfactual_outcomes(tree, p, query))
+                   for p in find_pivot(tree, query, tol))
 
     candidates: set[str] = set()
     for pivot in pivots:
@@ -273,7 +271,7 @@ def evaluate_counterfactual(tree: FrameworkTree, query: CounterfactualQuery,
     return CounterfactualVerdict(
         kind=kind, outcome=outcome, pivots=pivots,
         impossible_outcomes=tuple(impossible), distribution=distribution,
-        premise_probability=matching_total, tol=tol)
+        premise_probability=pivots[0].premise_probability, tol=tol)
 
 
 # -- scenario-level wrappers --------------------------------------------------

@@ -53,7 +53,6 @@ from .qm import (
     Projector,
     StateVector,
     Tolerances,
-    embed_operator,
     identity,
     outer,
     unitarity_defect,
@@ -238,7 +237,8 @@ class MeasurementSetting:
             [np.vdot(self.plus, self.plus), np.vdot(self.plus, self.minus)],
             [np.vdot(self.minus, self.plus), np.vdot(self.minus, self.minus)],
         ])
-        if np.abs(gram - identity(2)).max() > SETTING_GRAM_TOL:
+        defect = np.abs(gram - identity(2)).max()
+        if not defect <= SETTING_GRAM_TOL:  # a NaN defect is refused too
             raise ValueError(f"setting {self.name}: outcome pair is not orthonormal")
         self.plus.setflags(write=False)
         self.minus.setflags(write=False)
@@ -382,10 +382,12 @@ _SETTING_NUMBER = {"ML1": 1, "ML2": 2, "MR1": 1, "MR2": 2}
 
 @functools.cache
 def _register_projector(side: str, index: int) -> Projector:
+    """|index><index| on one side's register, identity elsewhere: a
+    diagonal projector, 1 where that register reads ``index``."""
     site = 2 if side == "L" else 3
-    reg = np.zeros(6)
-    reg[index] = 1.0
-    return Projector(embed_operator(outer(reg), _APPARATUS_DIMS, (site,)))
+    mask = np.zeros(_APPARATUS_DIMS)
+    mask[(slice(None),) * site + (index,)] = 1.0
+    return Projector(mask.ravel())
 
 
 def _pointer_projector(setting: MeasurementSetting, sign: str) -> Projector:

@@ -174,7 +174,7 @@ def chain_apply(history: History, vector: np.ndarray) -> np.ndarray:
     without forming the operator."""
     out = np.asarray(vector, dtype=np.complex128)
     for ev in history.events:
-        out = ev.projector.matrix @ history.grid.evolve(ev.time_index, out)
+        out = ev.projector.apply(history.grid.evolve(ev.time_index, out))
     return out
 
 
@@ -196,12 +196,14 @@ def history_probability(history: History, rho: DensityOperator) -> float:
 
 def decomposition_at(t: int, events: Iterable[tuple[str, Projector]]
                      ) -> list[tuple[str, Projector]]:
-    """The distinct projectors (by matrix object) among the labeled ``events``
-    at time index ``t``, each with the first label it came with; raises
-    ``ValueError`` unless they are pairwise (numerically) equal or orthogonal."""
+    """The distinct projectors (by object) among the labeled ``events`` at
+    time index ``t``, each with the first label it came with; raises
+    ``ValueError`` unless they are pairwise (numerically) equal or orthogonal.
+    Each projector copies what it is built from, so two projectors share no
+    array and object identity is the identity of their entries."""
     distinct: list[tuple[str, Projector]] = []
     for label, proj in events:
-        if not any(p.matrix is proj.matrix for _, p in distinct):
+        if not any(p is proj for _, p in distinct):
             distinct.append((label, proj))
     for i, (label_a, a) in enumerate(distinct):
         for label_b, b in distinct[i + 1:]:

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small finite Hilbert spaces.
+"""Complex linear algebra for small finite Hilbert spaces.
 
 States and operators are numpy arrays wrapped in thin frozen dataclasses that
 validate their defining identities once, at construction, and are immutable
@@ -9,6 +9,8 @@ All functions are pure.
 
 from __future__ import annotations
 
+import functools
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -138,31 +140,81 @@ def basis_state(dim: int, index: int) -> StateVector:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Hermitian idempotent matrix, validated at construction."""
+    """An orthogonal projector, validated at construction.  It has one of two
+    kinds, told apart by what is passed as ``entries``:
 
-    matrix: np.ndarray
+      * dense: a square matrix, checked hermitian and idempotent within
+        ``ALGEBRA_TOL``;
+      * diagonal: a 1-D array d standing for diag(d), checked finite, real
+        within ``ALGEBRA_TOL`` and d^2 = d within ``ALGEBRA_TOL``.  These are
+        the dense checks read off the diagonal: diag(d) has zero off-diagonal
+        entries, so with d real it is hermitian, and diag(d)^2 = diag(d^2),
+        so d^2 = d makes it idempotent.  d is stored as its real part, and
+        ``matrix`` is built only when it is read.
+
+    ``apply`` is the one way a projector acts on a vector or a matrix of
+    columns.
+    """
+
+    entries: np.ndarray  # a square matrix, or the diagonal of one
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.matrix, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("projector must be a square matrix")
-        _require_finite(arr, "projector")
-        if np.abs(arr - arr.conj().T).max() > ALGEBRA_TOL:
-            raise ValueError("projector is not hermitian within tolerance")
-        if np.abs(arr @ arr - arr).max() > ALGEBRA_TOL:
-            raise ValueError("projector is not idempotent within tolerance")
-        object.__setattr__(self, "matrix", _frozen_complex(arr))
+        arr = np.asarray(self.entries, dtype=np.complex128)
+        if arr.ndim == 1:
+            if arr.size == 0:
+                raise ValueError("projector diagonal must be non-empty")
+            _require_finite(arr, "projector")
+            if np.abs(arr.imag).max() > ALGEBRA_TOL:
+                raise ValueError("projector diagonal is not real within tolerance")
+            arr = arr.real
+            if np.abs(arr * arr - arr).max() > ALGEBRA_TOL:
+                raise ValueError("projector is not idempotent within tolerance")
+        else:
+            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+                raise ValueError("projector must be a square matrix or a diagonal")
+            _require_finite(arr, "projector")
+            if np.abs(arr - arr.conj().T).max() > ALGEBRA_TOL:
+                raise ValueError("projector is not hermitian within tolerance")
+            if np.abs(arr @ arr - arr).max() > ALGEBRA_TOL:
+                raise ValueError("projector is not idempotent within tolerance")
+        object.__setattr__(self, "entries", _frozen_complex(arr))
 
     def __repr__(self) -> str:
         return f"Projector(dim={self.dim}, rank={self.rank})"
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.entries.shape[0]
+
+    @property
+    def diagonal(self) -> np.ndarray | None:
+        """d of a diagonal projector diag(d); None for a dense one."""
+        return self.entries if self.entries.ndim == 1 else None
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        if self.entries.ndim == 2:
+            return self.entries
+        built = np.diag(self.entries)
+        built.setflags(write=False)
+        return built
 
     @property
     def rank(self) -> int:
-        return int(round(float(np.trace(self.matrix).real)))
+        d = self.diagonal
+        trace = np.trace(self.matrix) if d is None else d.sum()
+        return int(round(float(trace.real)))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """P @ x for a vector or a (dim, r) matrix of columns ``x``.  A
+        diagonal projector scales the rows of ``x`` by d, which equals
+        diag(d) @ x entry for entry: each entry of that product is the one
+        product d_i x_ij plus exact zeros (which may flip the sign of a zero).
+        """
+        d = self.diagonal
+        if d is None:
+            return self.matrix @ x
+        return d * x if x.ndim == 1 else d[:, None] * x
 
     def tensor(self, other: "Projector") -> "Projector":
         if not isinstance(other, Projector):
@@ -225,21 +277,37 @@ class DensityOperator:
     state vector for an operator built from one, else a (dim, r) matrix of
     the eigenvectors above ``numerical_rank_cutoff`` scaled by sqrt-eigenvalues.
 
-    Every matrix is checked for finiteness, hermiticity and unit trace.  The
-    spectrum is checked only where it is not yet known: a matrix given
+    ``entries`` is the matrix as given, or None for a pure state given by its
+    vector alone (``from_state``).  Such a state stores only the vector,
+    checked finite and of unit norm within ``ALGEBRA_TOL``; its ``matrix``,
+    ``outer(v)``, is built when first read.  That matrix is hermitian by
+    construction, its trace is |v|^2 and its spectrum is {|v|^2, 0, ...}, so
+    the unit-norm check is the trace check and no eigenvalue can be negative.
+
+    Every given matrix is checked for finiteness, hermiticity and unit trace.
+    The spectrum is checked only where it is not yet known: a matrix given
     without a factor is eigendecomposed and refused below -``SPECTRAL_TOL``.
-    A factor is passed only by ``from_state`` and ``tensor``, whose matrices
-    pass that floor by construction: ``from_state``'s is ``outer(v)`` of a
-    vector that passed ``is_normalized``, and ``tensor``'s is the kron of two
-    operators that each passed the floor, so its eigenvalues are products
-    lambda * mu with mu <= 1, none below -``SPECTRAL_TOL``.
+    A matrix comes with a factor only from ``tensor``, whose matrix is the
+    kron of two operators that each passed the floor, so its eigenvalues are
+    products lambda * mu with mu <= 1, none below -``SPECTRAL_TOL``.
     """
 
-    matrix: np.ndarray
+    entries: np.ndarray | None
     factor: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.matrix, dtype=np.complex128)
+        factor = self.factor
+        if self.entries is None:
+            v = np.asarray(factor, dtype=np.complex128)
+            if v.ndim != 1 or v.size == 0:
+                raise ValueError("a density operator given by its factor alone "
+                                 "needs a non-empty state vector")
+            _require_finite(v, "density operator")
+            if not abs(float(np.linalg.norm(v)) ** 2 - 1.0) < ALGEBRA_TOL:
+                raise ValueError("density operator requires a normalized state vector")
+            object.__setattr__(self, "factor", _frozen_complex(v))
+            return
+        arr = np.asarray(self.entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("density operator must be a square matrix")
         _require_finite(arr, "density operator")
@@ -247,7 +315,6 @@ class DensityOperator:
             raise ValueError("density operator is not hermitian within tolerance")
         if abs(np.trace(arr).real - 1.0) > ALGEBRA_TOL or abs(np.trace(arr).imag) > ALGEBRA_TOL:
             raise ValueError("density operator trace is not 1 within tolerance")
-        factor = self.factor
         if factor is None:
             eigenvalues, eigenvectors = np.linalg.eigh((arr + arr.conj().T) / 2.0)
             if eigenvalues.min() < -SPECTRAL_TOL:
@@ -255,7 +322,7 @@ class DensityOperator:
                     "density operator has an eigenvalue below the negativity floor")
             keep = eigenvalues > numerical_rank_cutoff(eigenvalues, len(arr))
             factor = eigenvectors[:, keep] * np.sqrt(eigenvalues[keep])
-        object.__setattr__(self, "matrix", _frozen_complex(arr))
+        object.__setattr__(self, "entries", _frozen_complex(arr))
         object.__setattr__(self, "factor", _frozen_complex(factor))
 
     def __repr__(self) -> str:
@@ -263,13 +330,19 @@ class DensityOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.factor.shape[0]
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        if self.entries is not None:
+            return self.entries
+        built = outer(self.factor)
+        built.setflags(write=False)
+        return built
 
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityOperator":
-        if not state.is_normalized():
-            raise ValueError("density operator requires a normalized state vector")
-        return cls(outer(state.amps), factor=state.amps)
+        return cls(None, factor=state.amps)
 
     def tensor(self, other: "DensityOperator") -> "DensityOperator":
         if not isinstance(other, DensityOperator):
@@ -317,23 +390,30 @@ class ProjectiveDecomposition:
 _PAIR_DEFECTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _compute_pair_defects(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
-    return float(np.abs(p - q).max()), float(np.abs(p @ q).max())
+def _compute_pair_defects(p: Projector, q: Projector) -> tuple[float, float]:
+    a, b = p.diagonal, q.diagonal
+    if a is not None and b is not None:
+        # the off-diagonal entries of P - Q and PQ are zero
+        return float(np.abs(a - b).max()), float(np.abs(a * b).max())
+    return (float(np.abs(p.matrix - q.matrix).max()),
+            float(np.abs(p.matrix @ q.matrix).max()))
 
 
 def pair_defects(p: Projector, q: Projector) -> tuple[float, float]:
     """(max |P - Q|, max |PQ|) for an ordered projector pair.
 
-    Projectors are frozen with read-only matrices, so the pair's values never
+    Projectors are frozen with read-only entries, so the pair's values never
     change: each is computed once per process while both projectors live,
-    and callers compare the raw values against their own tolerance.
+    and callers compare the raw values against their own tolerance.  Two
+    diagonal projectors are compared on their diagonals, which gives the
+    dense values bit for bit.
     """
     row = _PAIR_DEFECTS.get(p)
     if row is None:
         row = _PAIR_DEFECTS[p] = weakref.WeakKeyDictionary()
     found = row.get(q)
     if found is None:
-        found = row[q] = _compute_pair_defects(p.matrix, q.matrix)
+        found = row[q] = _compute_pair_defects(p, q)
     return found
 
 
@@ -366,8 +446,11 @@ def _check_pvm(members: Sequence[tuple[str, Projector]], *,
                     f"members {labels[i]!r} and {labels[j]!r} are not orthogonal "
                     f"(max |PQ| = {cross:.3e})")
     if complete:
-        total = sum(proj.matrix for _, proj in members)
-        defect = np.abs(total - identity(dim)).max()
+        if all(proj.diagonal is not None for _, proj in members):
+            total, unit = sum(proj.diagonal for _, proj in members), np.ones(dim)
+        else:
+            total, unit = sum(proj.matrix for _, proj in members), identity(dim)
+        defect = np.abs(total - unit).max()
         if defect > ALGEBRA_TOL:
             raise PvmCompletenessError(
                 f"members sum to identity only within {defect:.3e}")
@@ -409,7 +492,7 @@ def _embedding(op: np.ndarray, dims: Sequence[int], sites: Sequence[int]
     if any(not 0 <= s < len(dims) for s in sites):
         raise ValueError("embedding site out of range")
     op = np.asarray(op, dtype=np.complex128)
-    site_dim = int(np.prod([dims[s] for s in sites])) if sites else 1
+    site_dim = math.prod(dims[s] for s in sites)
     if op.shape != (site_dim, site_dim):
         raise DimensionMismatchError(
             f"operator shape {op.shape} does not match site dims product {site_dim}")
@@ -422,21 +505,26 @@ def embed_operator(op: np.ndarray, dims: Sequence[int],
     tensor product space with factor dimensions ``dims``.
 
     ``op`` must be square with dimension equal to the product of the site
-    dimensions.  Identity acts on all remaining factors.
+    dimensions.  Identity acts on all remaining factors.  The result is
+    written into zeros through one strided view, whose axes are the site
+    row indices, the site column indices and one axis per remaining factor
+    that steps its row and column index together, so no kron or transpose
+    copy is made.
     """
     op, dims, sites = _embedding(op, dims, sites)
-    rest = [i for i in range(len(dims)) if i not in sites]
-    rest_dim = int(np.prod([dims[i] for i in rest])) if rest else 1
-    full = np.kron(op, identity(rest_dim))
-    # full now lives on factor order sites + rest; permute back to 0..n-1
-    order = list(sites) + rest
-    perm_dims = [dims[i] for i in order]
-    inverse = np.argsort(order)
-    tens = full.reshape(perm_dims + perm_dims)
-    n = len(dims)
-    tens = tens.transpose(list(inverse) + [n + i for i in inverse])
-    total = int(np.prod(dims))
-    return np.ascontiguousarray(tens.reshape(total, total))
+    total = math.prod(dims)
+    out = np.zeros((total, total), dtype=np.complex128)
+    # step[k]: bytes one unit of factor k's index moves a column; a row
+    # moves total times as far
+    step = [math.prod(dims[k + 1:]) * out.itemsize for k in range(len(dims))]
+    rest = [k for k in range(len(dims)) if k not in sites]
+    view = np.lib.stride_tricks.as_strided(
+        out,
+        shape=[dims[s] for s in sites] * 2 + [dims[k] for k in rest],
+        strides=([step[s] * total for s in sites] + [step[s] for s in sites]
+                 + [step[k] * (total + 1) for k in rest]))
+    view[...] = op.reshape([dims[s] for s in sites] * 2 + [1] * len(rest))
+    return out
 
 
 @dataclass(frozen=True, eq=False)

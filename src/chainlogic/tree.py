@@ -248,20 +248,17 @@ class FrameworkTree:
         raise KeyError(label)
 
 
-def _chain_step(x: np.ndarray, grid: TimeGrid, time_index: int,
-                member: _Member | BranchNode) -> np.ndarray:
-    x = grid.evolve(time_index, x)
-    return x if member.projector is None else member.projector.matrix @ x
-
-
-def _apply_member(state: np.ndarray, grid: TimeGrid, time_index: int,
-                  member: _Member | BranchNode,
-                  ket: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Propagate a branch factor and its ket through the step into
-    ``time_index`` and its event into (state, ket, prob); state stays ket
-    until a weight other than 1 applies."""
-    nxt_ket = _chain_step(ket, grid, time_index, member)
-    nxt = nxt_ket if state is ket else _chain_step(state, grid, time_index, member)
+def _apply_event(state: np.ndarray, member: _Member | BranchNode,
+                 ket: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """A branch factor and its ket, both already evolved to ``member``'s
+    time, through the member's event and weight into (state, ket, prob); a
+    choice event acts as the identity, and state stays ket until a weight
+    other than 1 applies."""
+    if member.projector is None:
+        nxt, nxt_ket = state, ket
+    else:
+        nxt_ket = member.projector.apply(ket)
+        nxt = nxt_ket if state is ket else member.projector.apply(state)
     if member.weight != 1.0:
         nxt = np.sqrt(member.weight) * nxt
     return nxt, nxt_ket, float(np.vdot(nxt, nxt).real)
@@ -297,16 +294,21 @@ def _grow(grid: TimeGrid, schedule: Sequence[LayerLike],
           ket: np.ndarray, prob: float) -> BranchNode:
     """The node ``member`` opens at ``path`` (the root for None), grown to
     full depth; each node is recorded in ``grown``, children before parents.
+    The node's state and ket are evolved to the next time once, and every
+    child applies its own event to them.
     Module-level rather than a closure, so a built tree holds no reference
     cycle and is freed as soon as it is dropped."""
     time_index = len(path)
     children: list[BranchNode] = []
     if time_index < grid.nsteps:
         members = _as_members(schedule[time_index], path, grid.dim)
+        evolved_ket = grid.evolve(time_index + 1, ket)
+        evolved = (evolved_ket if state is ket
+                   else grid.evolve(time_index + 1, state))
         captured = 0.0
         for nxt in members:
             child = _grow(grid, schedule, grown, residual_tol, path + (nxt.label,),
-                          nxt, *_apply_member(state, grid, time_index + 1, nxt, ket))
+                          nxt, *_apply_event(evolved, nxt, evolved_ket))
             children.append(child)
             captured += child.prob
         residual = prob - captured

@@ -394,6 +394,13 @@ class TestSweep:
         assert "outside the open range" in err
         assert repr(family) in err
 
+    def test_maximize_refuses_values(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--maximize-s4",
+                                 "--values", "0.3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--values" in err and "--maximize-s4" in err
+
     def test_family_choices_enforced(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--family", "mystery"])

@@ -38,6 +38,7 @@ from chainlogic.qm import (
 )
 from chainlogic.tree import (
     ClassicalChoice,
+    FrameworkTree,
     build_tree,
     enforce_single_framework,
     prune_zero_branches,
@@ -176,6 +177,17 @@ class TestFindPivot:
             find_pivot(equal_particle.tree, query)
 
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_premise_with_no_leaf_is_vacuous_at_any_tolerance(
+            self, equal_particle, tol):
+        # ML1- / MR1+ is pruned: no full-depth leaf carries the premise
+        query = CounterfactualQuery(
+            premise={1: "ML1", 2: "ML1-", 3: "MR1", 4: "MR1+"},
+            pivot_time=3, alternative="MR2")
+        with pytest.raises(VacuousPremiseError, match="probability"):
+            evaluate_counterfactual(equal_particle.tree, query, tol)
+
+
 class TestFrameworkGuards:
     def test_foreign_premise_label(self, equal_particle):
         query = CounterfactualQuery(
@@ -283,6 +295,20 @@ class TestSwitchVerdicts:
         assert verdict.distribution["MR2+"] == pytest.approx(0.7, abs=1e-12)
         assert verdict.distribution["MR2-"] == pytest.approx(0.3, abs=1e-12)
         assert verdict.premise_probability == pytest.approx(1 / 12, abs=1e-12)
+
+    def test_one_leaf_scan_per_query(self, equal_particle, monkeypatch):
+        scans = []
+        leaves = FrameworkTree.leaves
+
+        def counting(tree):
+            scans.append(tree)
+            return leaves(tree)
+
+        monkeypatch.setattr(FrameworkTree, "leaves", counting)
+        verdict = evaluate_switch_counterfactual(equal_particle, "ML2")
+        assert len(scans) == 1
+        assert all(p.premise_probability == verdict.premise_probability
+                   for p in verdict.pivots)
 
     def test_distribution_is_posterior_weighted(self, equal_particle):
         verdict = evaluate_switch_counterfactual(equal_particle, "ML2")
@@ -496,6 +522,16 @@ class TestLocalityReport:
         report = locality_report(equal_apparatus)
         assert report.demonstrated
         assert built == []
+
+    def test_apparatus_run_builds_no_dense_register_matrix(self):
+        _register_projector.cache_clear()
+        scenario = build_measurement_scenario(EQUAL, mode="apparatus")
+        assert locality_report(scenario).demonstrated
+        registers = [_register_projector(side, index)
+                     for side in ("L", "R") for index in range(6)]
+        assert all(p.diagonal is not None for p in registers)
+        # Projector.matrix is cached on the instance once read
+        assert not any("matrix" in vars(p) for p in registers)
 
     def test_register_projectors_built_once_per_process(self, monkeypatch):
         _register_projector.cache_clear()

@@ -156,6 +156,16 @@ class TestSettings:
         with pytest.raises(ValueError):
             ml1.vector("0")
 
+    @pytest.mark.parametrize("mode", ["particle", "apparatus"])
+    def test_nan_outcome_vector_is_refused_in_both_modes(self, mode):
+        settings_list = list(hardy_settings(EQUAL))
+        with pytest.raises(ValueError, match="ML2: outcome pair is not orthonormal"):
+            settings_list[1] = hardy_module.MeasurementSetting(
+                side="L", name="ML2", plus=[np.nan, 0.0],
+                minus=settings_list[1].minus)
+            build_measurement_scenario(state=hardy_state(EQUAL),
+                                       settings=settings_list, mode=mode)
+
 
 class TestMeasurementUnitary:
     def test_unitary_and_pointer_mapping(self):
@@ -479,6 +489,16 @@ class TestStructuredGrid:
 
 
 class TestApparatusMode:
+    def test_register_projectors_are_the_embedded_register_states(self):
+        for side, site in (("L", 2), ("R", 3)):
+            for index in range(6):
+                # a fresh, uncached projector: reading .matrix builds it
+                p = hardy_module._register_projector.__wrapped__(side, index)
+                reg = np.zeros(6)
+                reg[index] = 1.0
+                assert p.diagonal is not None
+                assert np.array_equal(p.matrix, embed_operator(
+                    outer(reg), (2, 2, 6, 6), (site,)))
     def test_completion_seed_leaves_probabilities_alone(self):
         base = build_measurement_scenario(EQUAL, mode="apparatus")
         seeded = build_measurement_scenario(EQUAL, mode="apparatus",

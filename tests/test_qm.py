@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from chainlogic.errors import (
     DegenerateSpanError,
@@ -22,11 +23,13 @@ from chainlogic.hardy import (
     hardy_state,
 )
 from chainlogic.qm import (
+    ALGEBRA_TOL,
     DensityOperator,
     ProjectiveDecomposition,
     Projector,
     StateVector,
     Tolerances,
+    _check_pvm,
     basis_state,
     commutator_norm,
     embed_operator,
@@ -102,6 +105,76 @@ class TestProjector:
         assert np.allclose(p.matrix, np.diag([1.0, 0.0]))
 
 
+REGISTER_MASK = np.tile([0.0, 1.0, 0.0, 0.0, 1.0, 0.0], 4)
+
+
+def random_columns(rng: np.random.Generator, dim: int, r: int) -> np.ndarray:
+    return rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+
+
+class TestDiagonalProjector:
+    """A 1-D array is the diagonal d of diag(d); its checks, its action and
+    its pair values are those of the dense diag(d)."""
+
+    def kinds(self) -> list[Projector]:
+        span = projector_from_span([StateVector(np.arange(1.0, 25.0)),
+                                    StateVector(np.ones(24))])
+        return [Projector(REGISTER_MASK), Projector(np.diag(REGISTER_MASK)), span]
+
+    @pytest.mark.parametrize("r", [None, 1, 3])
+    def test_apply_equals_the_matrix_product(self, rng, r):
+        for p in self.kinds():
+            x = random_columns(rng, 24, 1 if r is None else r)
+            if r is None:
+                x = x[:, 0]
+            assert np.array_equal(p.apply(x), p.matrix @ x)
+
+    def test_kind_follows_what_is_passed(self):
+        diagonal, dense, _ = self.kinds()
+        assert np.array_equal(diagonal.diagonal, REGISTER_MASK)
+        assert dense.diagonal is None  # a 2-D input is never scanned
+        assert np.array_equal(diagonal.matrix, dense.matrix)
+        assert diagonal.matrix.dtype == np.complex128
+        assert not diagonal.matrix.flags.writeable
+
+    @pytest.mark.parametrize("entries, message", [
+        ([1.0, np.nan], "non-finite"),
+        ([np.inf, 0.0], "non-finite"),
+        ([1.0, 1e-9j], "not real"),
+        ([1.0, 0.5], "not idempotent"),
+        ([1.0, -1.0], "not idempotent"),
+        ([], "non-empty"),
+    ])
+    def test_refuses_bad_diagonals(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            Projector(np.array(entries, dtype=complex))
+
+    def test_keeps_the_real_part_of_a_diagonal_within_tolerance(self):
+        p = Projector(np.array([1.0 + 0.1 * ALGEBRA_TOL * 1j, 0.0]))
+        assert np.array_equal(p.diagonal, [1.0, 0.0])
+
+    def test_same_values_as_the_dense_form(self):
+        d = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        e = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+        forms = [(Projector(d), Projector(e)),
+                 (Projector(np.diag(d)), Projector(np.diag(e)))]
+        (p_diag, q_diag), (p_dense, q_dense) = forms
+        assert pair_defects(p_diag, q_diag) == pair_defects(p_dense, q_dense)
+        assert pair_defects(p_diag, p_diag) == pair_defects(p_dense, p_dense)
+        assert p_diag.rank == p_dense.rank == 2
+        rest = 1.0 - d - e
+        _check_pvm([("p", p_diag), ("q", q_diag), ("r", Projector(rest))],
+                   complete=True)
+        _check_pvm([("p", p_dense), ("q", q_dense),
+                    ("r", Projector(np.diag(rest)))], complete=True)
+        messages = []
+        for p, q in forms:
+            with pytest.raises(PvmCompletenessError) as info:
+                _check_pvm([("p", p), ("q", q)], complete=True)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
 class TestProjectorFromSpan:
     def test_depends_only_on_span(self):
         u = StateVector(np.array([1.0, 0.0, 0.0]))
@@ -151,6 +224,24 @@ class TestDensityOperator:
     def test_from_state_requires_a_normalized_vector(self):
         with pytest.raises(ValueError, match="normalized"):
             DensityOperator.from_state(StateVector(np.array([1.0, 1.0])))
+
+    def test_from_state_matrix_is_the_outer_product(self, rng):
+        v = rng.standard_normal(144) + 1j * rng.standard_normal(144)
+        state = StateVector(v / np.linalg.norm(v))
+        rho = DensityOperator.from_state(state)
+        assert rho.entries is None and rho.dim == 144
+        assert np.array_equal(rho.matrix, outer(state.amps))
+        assert rho.matrix is rho.matrix  # built once, on first read
+
+    @pytest.mark.parametrize("factor, message", [
+        (np.array([1.0, np.nan]), "non-finite"),
+        (np.array([1.0, 1.0]), "normalized"),
+        (np.array([[1.0], [0.0]]), "state vector"),
+        (np.array([]), "state vector"),
+    ])
+    def test_factor_alone_must_be_a_unit_vector(self, factor, message):
+        with pytest.raises(ValueError, match=message):
+            DensityOperator(None, factor=factor)
 
     def test_tensor_combines_pure_vectors(self):
         rho = DensityOperator.from_state(basis_state(2, 0))
@@ -293,6 +384,23 @@ class TestPairDefects:
             assert str(info.value).endswith(expected)
 
 
+def kron_and_permute(op: np.ndarray, dims: tuple[int, ...],
+                     sites: tuple[int, ...]) -> np.ndarray:
+    """Reference embedding: op (x) I on the factor order sites + rest, then
+    the tensor axes permuted back to 0..n-1."""
+    rest = [i for i in range(len(dims)) if i not in sites]
+    rest_dim = int(np.prod([dims[i] for i in rest])) if rest else 1
+    full = np.kron(op, np.eye(rest_dim, dtype=np.complex128))
+    order = list(sites) + rest
+    perm_dims = [dims[i] for i in order]
+    inverse = list(np.argsort(order))
+    n = len(dims)
+    tens = full.reshape(perm_dims + perm_dims)
+    tens = tens.transpose(inverse + [n + i for i in inverse])
+    total = int(np.prod(dims))
+    return tens.reshape(total, total)
+
+
 class TestTensorAndEmbed:
     def test_kind_mismatch(self):
         with pytest.raises(KindMismatchError):
@@ -327,6 +435,20 @@ class TestTensorAndEmbed:
             for j in range(2):
                 swap[2 * i + j, 2 * j + i] = 1.0
         assert np.abs(b - swap @ a @ swap).max() < 1e-12
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4).flatmap(
+        lambda dims: st.tuples(st.just(tuple(dims)), st.permutations(
+            range(len(dims))).flatmap(lambda order: st.integers(
+                0, len(dims)).map(lambda k: tuple(order[:k]))))),
+        st.integers(0, 2**32 - 1))
+    def test_embed_equals_kron_and_permute(self, dims_sites, seed):
+        dims, sites = dims_sites
+        site_dim = int(np.prod([dims[s] for s in sites])) if sites else 1
+        rng = np.random.default_rng(seed)
+        op = (rng.standard_normal((site_dim, site_dim))
+              + 1j * rng.standard_normal((site_dim, site_dim)))
+        assert np.array_equal(embed_operator(op, dims, sites),
+                              kron_and_permute(op, dims, sites))
 
     def test_embed_validation(self):
         with pytest.raises(DimensionMismatchError):
