@@ -27,7 +27,7 @@ branch at the pivot time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -83,9 +83,7 @@ class CounterfactualQuery:
 class PivotPath:
     """A pre-pivot branch compatible with the premise.
 
-    ``posterior`` is its probability given the premise, and
-    ``premise_probability`` the premise's total weight it was divided by
-    (the same for every pivot of one query); ``outcomes`` maps
+    ``posterior`` is its probability given the premise; ``outcomes`` maps
     counterfactual continuation labels (times after the pivot, joined with
     ``SUFFIX_SEPARATOR``) to probabilities conditional on this pivot and on
     the alternative being taken.  Empty until the alternative is evaluated.
@@ -93,7 +91,6 @@ class PivotPath:
 
     path: BranchPath
     posterior: float
-    premise_probability: float
     outcomes: Mapping[str, float] = field(default_factory=dict)
 
 
@@ -169,6 +166,12 @@ def find_pivot(tree: FrameworkTree, query: CounterfactualQuery,
     them.  Raises ``VacuousPremiseError`` when the premise carries no
     probability and ``FrameworkViolationError`` on any foreign label.
     """
+    return _premise_pivots(tree, query, tol)[1]
+
+
+def _premise_pivots(tree: FrameworkTree, query: CounterfactualQuery,
+                    tol: float) -> tuple[float, tuple[PivotPath, ...]]:
+    """(premise probability, ``find_pivot``'s pivots) from one leaf scan."""
     _check_labels_in_framework(tree, query)
     matching = []
     for leaf in tree.leaves():
@@ -185,9 +188,8 @@ def find_pivot(tree: FrameworkTree, query: CounterfactualQuery,
     for leaf in matching:
         prefix = leaf.path[:query.pivot_time - 1]
         byprefix[prefix] = byprefix.get(prefix, 0.0) + leaf.prob
-    return tuple(PivotPath(path=prefix, posterior=weight / total,
-                           premise_probability=total)
-                 for prefix, weight in sorted(byprefix.items()))
+    return total, tuple(PivotPath(path=prefix, posterior=weight / total)
+                        for prefix, weight in sorted(byprefix.items()))
 
 
 def _counterfactual_outcomes(tree: FrameworkTree, pivot: PivotPath,
@@ -243,8 +245,11 @@ def evaluate_counterfactual(tree: FrameworkTree, query: CounterfactualQuery,
     each), and outcomes unreachable from every pivot (below ``tol`` in each)
     are reported as impossible.
     """
-    pivots = tuple(replace(p, outcomes=_counterfactual_outcomes(tree, p, query))
-                   for p in find_pivot(tree, query, tol))
+    premise_probability, found = _premise_pivots(tree, query, tol)
+    pivots = tuple(
+        PivotPath(path=p.path, posterior=p.posterior,
+                  outcomes=_counterfactual_outcomes(tree, p, query))
+        for p in found)
 
     candidates: set[str] = set()
     for pivot in pivots:
@@ -271,7 +276,7 @@ def evaluate_counterfactual(tree: FrameworkTree, query: CounterfactualQuery,
     return CounterfactualVerdict(
         kind=kind, outcome=outcome, pivots=pivots,
         impossible_outcomes=tuple(impossible), distribution=distribution,
-        premise_probability=pivots[0].premise_probability, tol=tol)
+        premise_probability=premise_probability, tol=tol)
 
 
 # -- scenario-level wrappers --------------------------------------------------

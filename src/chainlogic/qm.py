@@ -201,9 +201,7 @@ class Projector:
 
     @property
     def rank(self) -> int:
-        d = self.diagonal
-        trace = np.trace(self.matrix) if d is None else d.sum()
-        return int(round(float(trace.real)))
+        return int(round(float(np.trace(self.matrix).real)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """P @ x for a vector or a (dim, r) matrix of columns ``x``.  A
@@ -446,11 +444,8 @@ def _check_pvm(members: Sequence[tuple[str, Projector]], *,
                     f"members {labels[i]!r} and {labels[j]!r} are not orthogonal "
                     f"(max |PQ| = {cross:.3e})")
     if complete:
-        if all(proj.diagonal is not None for _, proj in members):
-            total, unit = sum(proj.diagonal for _, proj in members), np.ones(dim)
-        else:
-            total, unit = sum(proj.matrix for _, proj in members), identity(dim)
-        defect = np.abs(total - unit).max()
+        total = sum(proj.matrix for _, proj in members)
+        defect = np.abs(total - identity(dim)).max()
         if defect > ALGEBRA_TOL:
             raise PvmCompletenessError(
                 f"members sum to identity only within {defect:.3e}")
@@ -505,25 +500,31 @@ def embed_operator(op: np.ndarray, dims: Sequence[int],
     tensor product space with factor dimensions ``dims``.
 
     ``op`` must be square with dimension equal to the product of the site
-    dimensions.  Identity acts on all remaining factors.  The result is
-    written into zeros through one strided view, whose axes are the site
-    row indices, the site column indices and one axis per remaining factor
-    that steps its row and column index together, so no kron or transpose
-    copy is made.
+    dimensions.  Identity acts on all remaining factors.
+
+    The nonzero entries of the result are those of op (x) I, with rows and
+    columns in the original factor order: entry (i, j) is op[i_sites,
+    j_sites] where i and j agree on every other factor, else 0.  They are
+    written into zeros through one strided view of the result, so no kron
+    or transpose copy is made.
     """
     op, dims, sites = _embedding(op, dims, sites)
     total = math.prod(dims)
     out = np.zeros((total, total), dtype=np.complex128)
-    # step[k]: bytes one unit of factor k's index moves a column; a row
-    # moves total times as far
-    step = [math.prod(dims[k + 1:]) * out.itemsize for k in range(len(dims))]
+    # col[k]: bytes that one step of factor k's column index moves in out;
+    # one step of its row index moves total times as far
+    col = [math.prod(dims[k + 1:]) * out.itemsize for k in range(len(dims))]
+    site_dims = [dims[s] for s in sites]
     rest = [k for k in range(len(dims)) if k not in sites]
+    # view axes: the sites' row indices, the sites' column indices, then one
+    # axis per other factor that steps its row and column index together
+    # (the diagonal of its identity); op broadcasts over those last axes
     view = np.lib.stride_tricks.as_strided(
         out,
-        shape=[dims[s] for s in sites] * 2 + [dims[k] for k in rest],
-        strides=([step[s] * total for s in sites] + [step[s] for s in sites]
-                 + [step[k] * (total + 1) for k in rest]))
-    view[...] = op.reshape([dims[s] for s in sites] * 2 + [1] * len(rest))
+        shape=site_dims * 2 + [dims[k] for k in rest],
+        strides=([col[s] * total for s in sites] + [col[s] for s in sites]
+                 + [col[k] * (total + 1) for k in rest]))
+    view[...] = op.reshape(site_dims * 2 + [1] * len(rest))
     return out
 
 
