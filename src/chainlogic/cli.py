@@ -189,9 +189,19 @@ def load_config(path: str | None, env: dict | None = None) -> RunConfig:
         tolerances = Tolerances.from_mapping(data.get("tolerances", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad tolerances: {exc}") from exc
+    # a branch's weight is at most its setting pair's, and pruning drops
+    # branches by that absolute weight
+    left, right = min(weights[0]), min(weights[1])
+    if not left * right > tolerances.prune:
+        raise ConfigError(
+            f"choice_weights {left!r} (L) times {right!r} (R) is {left * right!r}, "
+            f"not above the prune tolerance {tolerances.prune!r}; pruning would "
+            "erase that setting pair")
     seed = data.get("completion_seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ConfigError("completion_seed must be an integer or null")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
+                             or seed < 0):
+        raise ConfigError(
+            f"completion_seed must be a non-negative integer or null, got {seed!r}")
 
     raw_tol = env.get(TOL_ENV_VAR)
     if raw_tol is not None:
@@ -501,13 +511,14 @@ def _sweep_csv(columns: tuple[str, ...],
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
+    mode = args.mode or (config.mode if args.config else "particle")
     family = args.family or ("equal_tail" if args.maximize_s4
                              else "symmetric_outer")
     if args.maximize_s4:
         if args.values is not None:
             raise ConfigError("--values has no effect with --maximize-s4, "
                               "which searches the family's whole range")
-        result = maximize_s4(family=family, mode=args.mode,
+        result = maximize_s4(family=family, mode=mode,
                              tolerances=config.tolerances)
         if args.format == "json":
             text = json.dumps(_envelope("s4-maximum", _sweep_json(result)),
@@ -523,12 +534,12 @@ def _cmd_sweep(args) -> int:
         return EXIT_OK
     values = DEFAULT_SWEEP_VALUES if args.values is None else args.values
     rows = parameter_sweep(_parse_values(values, family), family=family,
-                           mode=args.mode, choice_weights=config.choice_weights,
+                           mode=mode, choice_weights=config.choice_weights,
                            tolerances=config.tolerances)
     if args.format == "json":
         obj = _envelope("sweep-report", {
             "family": family,
-            "mode": args.mode,
+            "mode": mode,
             "rows": [_sweep_json(row) for row in rows],
         })
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -592,7 +603,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_counterfactual)
 
-    p = sub.add_parser("sweep", help="scan amplitude families")
+    p = sub.add_parser(
+        "sweep", help="scan amplitude families",
+        description="Scan an amplitude family.  From --config it reads mode "
+                    "(unless --mode is given), tolerances and choice_weights; "
+                    "--maximize-s4 reads only mode and tolerances, and "
+                    "completion_seed is validated but unused.")
     common(p)
     p.add_argument("--values",
                    help="comma-separated family parameters, each inside "
@@ -602,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="amplitude family (default: symmetric_outer; "
                         "equal_tail when maximizing)")
     p.add_argument("--mode", choices=("particle", "apparatus"),
-                   default="particle", help="scenario mode per sweep point")
+                   help="scenario mode per sweep point (default: the "
+                        "config's mode with --config, else particle)")
     p.add_argument("--maximize-s4", action="store_true",
                    help="maximize the fourth joint probability instead "
                         "of sweeping")

@@ -203,9 +203,8 @@ def _counterfactual_outcomes(tree: FrameworkTree, pivot: PivotPath,
             f"{query.pivot_time} under branch {pivot.path!r}",
             path=pivot.path) from None
     evolved = tree.grid.evolve(query.pivot_time, tree.grown[pivot.path].state)
-    state, _, prob = _apply_event(evolved, alternative, evolved)
     completions: list[tuple[tuple[str, ...], float]] = []
-    _descend(tree, alternative, state, prob, (), completions)
+    _descend(tree, alternative, evolved, (), completions)
     total = sum(p for _, p in completions)
     if total <= 0.0:
         raise VacuousPremiseError(
@@ -218,21 +217,20 @@ def _counterfactual_outcomes(tree: FrameworkTree, pivot: PivotPath,
     return merged
 
 
-def _descend(tree: FrameworkTree, node: BranchNode, state: np.ndarray,
-             prob: float, suffix: tuple[str, ...],
+def _descend(tree: FrameworkTree, node: BranchNode, evolved: np.ndarray,
+             suffix: tuple[str, ...],
              completions: list[tuple[tuple[str, ...], float]]) -> None:
     """Append every full-depth continuation of the grown ``node``, reached
-    with ``state``, to ``completions`` as (labels after the pivot,
-    probability), in schedule order; ``state`` is evolved to the children's
-    time once."""
+    from a state already evolved to its time, to ``completions`` as (labels
+    after the pivot, probability), in schedule order; the state after the
+    node's event is evolved to the children's time once."""
+    state, _, prob = _apply_event(evolved, node.projector, node.weight, evolved)
     if node.time_index == tree.depth:
         completions.append((suffix, prob))
         return
     evolved = tree.grid.evolve(node.time_index + 1, state)
     for child in node.children:
-        child_state, _, child_prob = _apply_event(evolved, child, evolved)
-        _descend(tree, child, child_state, child_prob, suffix + (child.label,),
-                 completions)
+        _descend(tree, child, evolved, suffix + (child.label,), completions)
 
 
 def evaluate_counterfactual(tree: FrameworkTree, query: CounterfactualQuery,

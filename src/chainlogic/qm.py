@@ -68,10 +68,6 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains non-finite entries")
 
 
-def dagger(matrix: np.ndarray) -> np.ndarray:
-    return matrix.conj().T
-
-
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128)
 

@@ -12,9 +12,9 @@ schedule.  Each layer of the schedule is one of
   * a callable mapping the branch path so far to either of the above, which
     lets later decompositions depend on earlier outcomes.
 
-``build_tree`` resolves and validates each layer once per branch path and
-keeps every node it grows in ``FrameworkTree.grown``; later lookups on the
-tree only read it.
+``build_tree`` turns each layer object into members and validates it once
+per build, however many branch paths meet it, and keeps every node it grows
+in ``FrameworkTree.grown``; later lookups on the tree only read it.
 
 Node states are unnormalized square-root factors, not density matrices: a
 branch's operator is state state^dagger, grown from ``rho.factor`` (a vector
@@ -87,13 +87,6 @@ class ClassicalChoice:
         object.__setattr__(self, "members", members)
 
 
-@dataclass(frozen=True)
-class _Member:
-    label: str
-    projector: Projector | None  # None marks a classical choice branch
-    weight: float
-
-
 LayerLike = (
     ProjectiveDecomposition
     | ClassicalChoice
@@ -102,23 +95,33 @@ LayerLike = (
 )
 
 
-def _as_members(layer, path: BranchPath, dim: int) -> tuple[_Member, ...]:
+def _as_members(layer, path: BranchPath, dim: int, resolved: dict
+                ) -> tuple[tuple[str, Projector | None, float], ...]:
+    """(label, projector or None for a choice, weight) per member of ``layer``
+    under ``path``.  A callable is called per path; the object it returns, or
+    the layer, is validated once per build: ``resolved`` maps its id to
+    (object, members), which keeps the id unique until the build returns."""
     if callable(layer):
         try:
             layer = layer(path)
         except KeyError as exc:
             raise ScheduleError(f"schedule has no entry for branch {path!r}") from exc
+    if id(layer) in resolved:
+        return resolved[id(layer)][1]
     if isinstance(layer, ClassicalChoice):
-        return tuple(_Member(label, None, weight) for label, weight in layer.members)
-    pairs = tuple((str(label), proj) for label, proj in layer)
-    # an empty layer is left to build_tree, which reports it as unaccounted
-    if pairs and not isinstance(layer, ProjectiveDecomposition):
-        _check_pvm(pairs, complete=False)
-    for label, proj in pairs:
-        if proj.dim != dim:
+        members = tuple((label, None, weight) for label, weight in layer.members)
+    else:
+        pairs = tuple((str(label), proj) for label, proj in layer)
+        # an empty layer is left to build_tree, which reports it as unaccounted
+        if pairs and not isinstance(layer, ProjectiveDecomposition):
+            _check_pvm(pairs, complete=False)
+        if pairs and pairs[0][1].dim != dim:  # mixed dims were refused above
+            label, proj = pairs[0]
             raise DimensionMismatchError(
                 f"projector {label!r} has dim {proj.dim}, tree dim is {dim}")
-    return tuple(_Member(label, proj, 1.0) for label, proj in pairs)
+        members = tuple((label, proj, 1.0) for label, proj in pairs)
+    resolved[id(layer)] = (layer, members)
+    return members
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +150,6 @@ class BranchNode:
     @property
     def is_choice(self) -> bool:
         return self.label is not None and self.projector is None
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
     def normalized_state(self) -> np.ndarray:
         if self.prob <= 0.0:
@@ -248,19 +247,18 @@ class FrameworkTree:
         raise KeyError(label)
 
 
-def _apply_event(state: np.ndarray, member: _Member | BranchNode,
+def _apply_event(state: np.ndarray, projector: Projector | None, weight: float,
                  ket: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """A branch factor and its ket, both already evolved to ``member``'s
-    time, through the member's event and weight into (state, ket, prob); a
-    choice event acts as the identity, and state stays ket until a weight
-    other than 1 applies."""
-    if member.projector is None:
+    """A branch factor and its ket, both evolved to the event's time, through
+    ``projector`` (None for a choice: the identity) and ``weight`` into (state,
+    ket, prob); state stays ket until a weight other than 1 applies."""
+    if projector is None:
         nxt, nxt_ket = state, ket
     else:
-        nxt_ket = member.projector.apply(ket)
-        nxt = nxt_ket if state is ket else member.projector.apply(state)
-    if member.weight != 1.0:
-        nxt = np.sqrt(member.weight) * nxt
+        nxt_ket = projector.apply(ket)
+        nxt = nxt_ket if state is ket else projector.apply(state)
+    if weight != 1.0:
+        nxt = np.sqrt(weight) * nxt
     return nxt, nxt_ket, float(np.vdot(nxt, nxt).real)
 
 
@@ -283,17 +281,18 @@ def build_tree(grid: TimeGrid, schedule: Sequence[LayerLike],
 
     grown: dict[BranchPath, BranchNode] = {}
     root_state = rho.factor
-    root = _grow(grid, schedule, grown, residual_tol, (), None, root_state,
-                 root_state, float(np.vdot(root_state, root_state).real))
+    root = _grow(grid, schedule, grown, {}, residual_tol, (), (None, None, 1.0),
+                 root_state, root_state, float(np.vdot(root_state, root_state).real))
     return FrameworkTree(grid=grid, rho=rho, root=root, grown=grown)
 
 
 def _grow(grid: TimeGrid, schedule: Sequence[LayerLike],
-          grown: dict[BranchPath, BranchNode], residual_tol: float,
-          path: BranchPath, member: _Member | None, state: np.ndarray,
-          ket: np.ndarray, prob: float) -> BranchNode:
-    """The node ``member`` opens at ``path`` (the root for None), grown to
-    full depth; each node is recorded in ``grown``, children before parents.
+          grown: dict[BranchPath, BranchNode], resolved: dict,
+          residual_tol: float, path: BranchPath, member: tuple,
+          state: np.ndarray, ket: np.ndarray, prob: float) -> BranchNode:
+    """The node ``member``, a (label, projector, weight), opens at ``path``,
+    grown to full depth; each node is recorded in ``grown``, children before
+    parents, and ``resolved`` is the build's table for ``_as_members``.
     The node's state and ket are evolved to the next time once, and every
     child applies its own event to them.
     Module-level rather than a closure, so a built tree holds no reference
@@ -301,14 +300,15 @@ def _grow(grid: TimeGrid, schedule: Sequence[LayerLike],
     time_index = len(path)
     children: list[BranchNode] = []
     if time_index < grid.nsteps:
-        members = _as_members(schedule[time_index], path, grid.dim)
+        members = _as_members(schedule[time_index], path, grid.dim, resolved)
         evolved_ket = grid.evolve(time_index + 1, ket)
         evolved = (evolved_ket if state is ket
                    else grid.evolve(time_index + 1, state))
         captured = 0.0
-        for nxt in members:
-            child = _grow(grid, schedule, grown, residual_tol, path + (nxt.label,),
-                          nxt, *_apply_event(evolved, nxt, evolved_ket))
+        for label, projector, weight in members:
+            child = _grow(grid, schedule, grown, resolved, residual_tol,
+                          path + (label,), (label, projector, weight),
+                          *_apply_event(evolved, projector, weight, evolved_ket))
             children.append(child)
             captured += child.prob
         residual = prob - captured
@@ -316,11 +316,10 @@ def _grow(grid: TimeGrid, schedule: Sequence[LayerLike],
             raise ScheduleError(
                 f"schedule members at time index {time_index + 1} leave "
                 f"probability {residual:.3e} unaccounted on branch {path!r}")
-    label, projector, weight = ((None, None, 1.0) if member is None else
-                                (member.label, member.projector, member.weight))
+    # a member is (label, projector, weight), BranchNode's fields in order
     node = grown[path] = BranchNode(
-        time_index=time_index, label=label, projector=projector, weight=weight,
-        path=path, prob=prob, children=tuple(children), state=state, ket=ket)
+        time_index, *member, path=path, prob=prob, children=tuple(children),
+        state=state, ket=ket)
     return node
 
 

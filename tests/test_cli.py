@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -26,6 +27,7 @@ from chainlogic.errors import ConfigError
 from chainlogic.hardy import DEFAULT_CHOICE_WEIGHTS, HardyAmplitudes
 
 ROOT3 = 0.5773502691896258
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _schema(name: str) -> dict:
@@ -151,6 +153,31 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == ""
         assert f"side {side}" in err
+
+    @pytest.mark.parametrize("command", [("hardy",), ("counterfactual", "--both")],
+                             ids=["hardy", "counterfactual"])
+    def test_setting_weights_that_pruning_would_erase_refused(
+            self, capsys, write_config, command):
+        # every ML1 branch weighs at most 1e-13 * 0.5, below the 1e-12 prune
+        # tolerance: hardy used to confirm the pattern beside a violated
+        # no-signaling check, counterfactual --both to call the premise vacuous
+        path = write_config({"choice_weights": [[1e-13, 0.9999999999999],
+                                                [0.5, 0.5]],
+                             "mode": "particle"})
+        code, out, err = run_cli(capsys, *command, "--config", path)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "5e-14" in err and "1e-12" in err
+        assert "prune tolerance" in err
+
+    @pytest.mark.parametrize("seed", [-1, True, False],
+                             ids=["negative", "true", "false"])
+    def test_bad_completion_seed_refused(self, capsys, write_config, seed):
+        path = write_config({"completion_seed": seed})
+        code, out, err = run_cli(capsys, "hardy", "--config", path)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "completion_seed must be a non-negative integer" in err
 
     def test_degenerate_basis_is_generic_failure(self, capsys, write_config):
         path = write_config({"amplitudes": [0.0, 1.0, 0.0],
@@ -401,6 +428,23 @@ class TestSweep:
         assert out == ""
         assert "--values" in err and "--maximize-s4" in err
 
+    def test_mode_read_from_config(self, capsys):
+        config = str(ROOT / "configs" / "equal_apparatus.json")
+        args = ("sweep", "--values", "0.5", "--format", "csv")
+        code, from_config, _ = run_cli(capsys, *args, "--config", config)
+        assert code == EXIT_OK
+        _, apparatus, _ = run_cli(capsys, *args, "--mode", "apparatus")
+        _, particle, _ = run_cli(capsys, *args)
+        assert from_config == apparatus
+        assert apparatus != particle
+
+    def test_mode_flag_overrides_config(self, capsys):
+        config = str(ROOT / "configs" / "equal_apparatus.json")
+        args = ("sweep", "--values", "0.5", "--format", "json")
+        _, out, _ = run_cli(capsys, *args, "--mode", "particle",
+                            "--config", config)
+        assert report_from(out)["mode"] == "particle"
+
     def test_family_choices_enforced(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--family", "mystery"])
@@ -483,6 +527,20 @@ class TestConfigLoading:
     def test_bad_completion_seed(self, write_config):
         path = write_config({"completion_seed": "often"})
         with pytest.raises(ConfigError, match="completion_seed"):
+            load_config(path, env={})
+
+    def test_completion_seed_zero_accepted(self, write_config):
+        path = write_config({"completion_seed": 0})
+        assert load_config(path, env={}).completion_seed == 0
+
+    def test_setting_weights_checked_against_the_config_prune(self,
+                                                              write_config):
+        weights = [[1e-13, 0.9999999999999], [0.5, 0.5]]
+        path = write_config({"choice_weights": weights,
+                             "tolerances": {"prune": 1e-14}})
+        assert load_config(path, env={}).choice_weights[0][0] == 1e-13
+        path = write_config({"tolerances": {"prune": 0.25}})
+        with pytest.raises(ConfigError, match="0.25"):
             load_config(path, env={})
 
     def test_env_tolerance_applies(self, write_config):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from chainlogic import histories, tree as tree_module
 from chainlogic.counterfactual import locality_report
 from chainlogic.errors import (
+    DimensionMismatchError,
     DuplicateLabelError,
     FrameworkViolationError,
     PvmOrthogonalityError,
@@ -469,6 +471,64 @@ class TestScheduleLookup:
         assert tree.member_labels(2, ("z+",)) == ("x+", "x-")
         export_tree(tree, "json")
         assert calls == [("z+",), ("z-",)]
+
+
+class TestLayerResolution:
+    """Each layer object is turned into members and validated once per
+    build, however many branch paths meet it."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        calls: list = []
+        check = tree_module._check_pvm
+
+        def counting(members, **kwargs):
+            calls.append(tuple(label for label, _ in members))
+            return check(members, **kwargs)
+
+        monkeypatch.setattr(tree_module, "_check_pvm", counting)
+        return calls
+
+    @pytest.mark.parametrize("mode, layers", [("particle", 4), ("apparatus", 6)])
+    def test_one_check_per_quantum_layer_object(self, monkeypatch, mode, layers):
+        calls = self.spy(monkeypatch)
+        build_measurement_scenario(HardyAmplitudes.equal(), mode=mode)
+        # ML1, ML2, MR1 and MR2 each declare one outcome list; apparatus
+        # mode adds two more quantum layers
+        assert len(calls) == layers
+        assert len(set(calls)) == layers
+
+    def test_shared_layer_object_validated_once(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        shared = x_layer()
+        grid = TimeGrid.identity((0.0, 1.0, 2.0), 2)
+        tree = build_tree(grid, [z_layer(), lambda path: shared],
+                          basis_state(2, 0))
+        assert calls == [("z+", "z-"), ("x+", "x-")]
+        assert tree.member_labels(2, ("z-",)) == ("x+", "x-")
+
+    def test_fresh_equal_lists_are_each_validated(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        grid = TimeGrid.identity((0.0, 1.0, 2.0), 2)
+        build_tree(grid, [z_layer(), lambda path: x_layer()], basis_state(2, 0))
+        assert calls == [("z+", "z-"), ("x+", "x-"), ("x+", "x-")]
+
+    @pytest.mark.parametrize("later, error, message", [
+        (lambda: [("z+", proj(Z_PLUS)), ("x+", proj(X_PLUS))],
+         PvmOrthogonalityError, "members 'z+' and 'x+' are not orthogonal"),
+        (lambda: [("a", Projector(np.eye(3)))],
+         DimensionMismatchError, "projector 'a' has dim 3, tree dim is 2"),
+    ], ids=["non-orthogonal", "wrong-dim"])
+    def test_invalid_fresh_list_for_a_later_path_refused(self, later, error,
+                                                         message):
+        # a fresh list per call: were the first one freed after use, the
+        # second could take over its id and its validated members
+        def second(path):
+            return x_layer() if path[-1] == "z+" else later()
+
+        grid = TimeGrid.identity((0.0, 1.0, 2.0), 2)
+        with pytest.raises(error, match=re.escape(message)):
+            build_tree(grid, [z_layer(), second], basis_state(2, 0))
 
 
 class TestSingleFramework:
