@@ -17,7 +17,8 @@ Exit codes:
         measurement unitary off unitarity
 
 The environment variable CHAINLOGIC_TOL, when set, overrides the
-consistency tolerance from the config (it must parse as a float in (0, 1)).
+consistency tolerance from the config (it must parse as a float in (0, 1),
+no smaller than CONSISTENCY_TOL_FLOOR, 1e-14, like the config's own).
 JSON output is deterministic: keys are sorted and floats are emitted at full
 precision, so identical runs produce byte-identical reports.
 """
@@ -63,7 +64,7 @@ from .hardy import (
     verify_hardy_predictions,
 )
 from .histories import TimeGrid
-from .qm import Projector, StateVector, Tolerances, outer
+from .qm import CONSISTENCY_TOL_FLOOR, Projector, StateVector, Tolerances, outer
 from .sweep import (
     FAMILIES,
     FAMILY_RANGES,
@@ -126,7 +127,10 @@ def _amplitudes_from(data) -> HardyAmplitudes:
     if not isinstance(data, list) or len(data) != 3:
         raise ConfigError("amplitudes must be a list of three entries")
     triple = [_complex_from(entry, i) for i, entry in enumerate(data)]
-    norm = math.sqrt(sum(abs(x) ** 2 for x in triple))
+    try:
+        norm = math.sqrt(sum(abs(x) ** 2 for x in triple))
+    except OverflowError:  # a float power past 1e308 raises, not inf
+        norm = math.inf
     if norm == 0.0:
         raise ConfigError("amplitudes must not all vanish")
     deviation = abs(norm - 1.0)
@@ -157,6 +161,13 @@ def _choice_weights_from(data) -> ChoiceWeights:
             (float(data[1][0]), float(data[1][1])))
 
 
+def _check_consistency_floor(value: float, source: str) -> None:
+    if value < CONSISTENCY_TOL_FLOOR:
+        raise ConfigError(
+            f"{source} {value!r} is below the floor {CONSISTENCY_TOL_FLOOR!r}; "
+            "a smaller tolerance would fail checks on rounding alone")
+
+
 def load_config(path: str | None, env: dict | None = None) -> RunConfig:
     """Read a run configuration; missing fields fall back to the default
     scenario.  I/O failures propagate as OSError, content problems raise
@@ -185,10 +196,15 @@ def load_config(path: str | None, env: dict | None = None) -> RunConfig:
     mode = data.get("mode", "apparatus")
     if mode not in ("particle", "apparatus"):
         raise ConfigError(f"unknown mode {mode!r}")
+    raw_tolerances = data.get("tolerances", {})
+    if not isinstance(raw_tolerances, dict):
+        raise ConfigError("tolerances must be a JSON object, got "
+                          f"{type(raw_tolerances).__name__} {raw_tolerances!r}")
     try:
-        tolerances = Tolerances.from_mapping(data.get("tolerances", {}))
+        tolerances = Tolerances.from_mapping(raw_tolerances)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad tolerances: {exc}") from exc
+    _check_consistency_floor(tolerances.consistency, "tolerances.consistency")
     # a branch's weight is at most its setting pair's, and pruning drops
     # branches by that absolute weight
     left, right = min(weights[0]), min(weights[1])
@@ -211,6 +227,7 @@ def load_config(path: str | None, env: dict | None = None) -> RunConfig:
             raise ConfigError(f"{TOL_ENV_VAR} must be a float, got {raw_tol!r}")
         if not 0.0 < value < 1.0:
             raise ConfigError(f"{TOL_ENV_VAR} must lie in (0, 1), got {value!r}")
+        _check_consistency_floor(value, TOL_ENV_VAR)
         tolerances = replace(tolerances, consistency=value)
     return RunConfig(amplitudes=amplitudes, choice_weights=weights, mode=mode,
                      tolerances=tolerances, completion_seed=seed)

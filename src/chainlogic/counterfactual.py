@@ -122,34 +122,29 @@ class CounterfactualVerdict:
         raise KeyError(tuple(path))
 
 
-def _declared_labels(tree: FrameworkTree, time_index: int) -> set[str]:
-    """Labels the schedule declares at ``time_index`` under every grown
-    prefix, pruned ones included."""
-    return {path[-1] for path in tree.grown if len(path) == time_index}
-
-
 def _check_labels_in_framework(tree: FrameworkTree,
                                query: CounterfactualQuery) -> None:
+    # (time index, label) of every member the schedule declares under some
+    # grown prefix, pruned ones included
+    declared = {(len(path), path[-1]) for path in tree.grown if path}
     for t, label in sorted(query.premise.items()):
         if t > tree.depth:
             raise FrameworkViolationError(
                 f"premise time index {t} exceeds tree depth {tree.depth}")
-        if label not in _declared_labels(tree, t):
+        if (t, label) not in declared:
             raise FrameworkViolationError(
                 f"premise label {label!r} at time index {t} is not part of "
                 "this framework", path=(label,))
     if query.pivot_time > tree.depth:
         raise FrameworkViolationError(
             f"pivot time index {query.pivot_time} exceeds tree depth {tree.depth}")
-    if query.alternative not in _declared_labels(tree, query.pivot_time):
+    if (query.pivot_time, query.alternative) not in declared:
         raise FrameworkViolationError(
             f"alternative label {query.alternative!r} is not part of this "
             f"framework at time index {query.pivot_time}",
             path=(query.alternative,))
     if query.targets is not None:
-        later: set[str] = set()
-        for t in range(query.pivot_time + 1, tree.depth + 1):
-            later |= _declared_labels(tree, t)
+        later = {label for t, label in declared if t > query.pivot_time}
         for target in query.targets:
             for segment in target.split(SUFFIX_SEPARATOR):
                 if segment not in later:

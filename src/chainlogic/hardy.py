@@ -310,24 +310,6 @@ def measurement_unitary(setting1: MeasurementSetting,
     return u
 
 
-@dataclass(frozen=True, eq=False)
-class ApparatusModel:
-    """Choice amplitudes and the two measurement unitaries."""
-
-    choice_amplitudes_l: tuple[complex, complex]
-    choice_amplitudes_r: tuple[complex, complex]
-    unitary_l: np.ndarray
-    unitary_r: np.ndarray
-    completion_seed: int | None = None
-
-    def ready_state(self, side: str) -> np.ndarray:
-        alpha, beta = (self.choice_amplitudes_l if side == "L"
-                       else self.choice_amplitudes_r)
-        vec = np.zeros(6, dtype=np.complex128)
-        vec[0], vec[1] = alpha, beta
-        return vec / np.linalg.norm(vec)
-
-
 ChoiceWeights = tuple[tuple[float, float], tuple[float, float]]
 DEFAULT_CHOICE_WEIGHTS: ChoiceWeights = ((0.5, 0.5), (0.5, 0.5))
 
@@ -345,7 +327,6 @@ class HardyScenario:
     unpruned_tree: FrameworkTree
     tree: FrameworkTree
     consistency: TreeConsistencyReport
-    apparatus: ApparatusModel | None = None
 
     @property
     def dim(self) -> int:
@@ -452,22 +433,19 @@ def build_measurement_scenario(
         raise ConfigError("the pair state must be 4-dimensional")
 
     times = (0.0, 1.0, 2.0, 3.0, 4.0)
-    apparatus = None
     if mode == "particle":
         grid = TimeGrid.identity(times, 4)
         schedule = _schedule(setting_tuple, *choices, _qubit_projector)
         rho: StateVector | DensityOperator = pair_state
     else:
-        amps_l = tuple(math.sqrt(w) for w in weights[0])
-        amps_r = tuple(math.sqrt(w) for w in weights[1])
         by_name = {s.name: s for s in setting_tuple}
         u_l = measurement_unitary(by_name["ML1"], by_name["ML2"], completion_seed)
         u_r = measurement_unitary(by_name["MR1"], by_name["MR2"], completion_seed)
-        apparatus = ApparatusModel(
-            choice_amplitudes_l=amps_l, choice_amplitudes_r=amps_r,
-            unitary_l=u_l, unitary_r=u_r, completion_seed=completion_seed)
-        chi_l = apparatus.ready_state("L")
-        chi_r = apparatus.ready_state("R")
+        # each register starts in sqrt(w1)|ready1> + sqrt(w2)|ready2>
+        chi_l, chi_r = np.zeros((2, 6), dtype=np.complex128)
+        for chi, pair in ((chi_l, weights[0]), (chi_r, weights[1])):
+            chi[:2] = [math.sqrt(w) for w in pair]
+            chi /= np.linalg.norm(chi)
         if isinstance(pair_state, StateVector):
             full = np.einsum("lr,m,n->lmrn",
                              pair_state.normalized().amps.reshape(2, 2),
@@ -497,7 +475,7 @@ def build_measurement_scenario(
     return HardyScenario(
         amplitudes=amplitudes, settings=setting_tuple, choice_weights=weights,
         mode=mode, tolerances=tolerances, grid=grid, unpruned_tree=unpruned,
-        tree=pruned, consistency=report, apparatus=apparatus)
+        tree=pruned, consistency=report)
 
 
 JointKey = tuple[str, str, str, str]

@@ -291,9 +291,13 @@ def gram_consistency(kets: Sequence[np.ndarray],
     matrix = branches.conj() @ branches.T
     worst: tuple[int, int, float] | None = None
     if k > 1:
-        off = np.abs(matrix - np.diag(np.diag(matrix)))
-        g, j = np.unravel_index(int(off.argmax()), off.shape)
-        worst = (int(g), int(j), float(off[g, j]))
+        # over g < j only: the diagonal and lower triangle are masked below
+        # every magnitude, so two distinct histories are named even when
+        # every off-diagonal entry is 0
+        off = np.abs(matrix)
+        off[np.tri(k, dtype=bool)] = -1.0
+        g, j = divmod(int(off.argmax()), k)
+        worst = (g, j, float(off[g, j]))
     consistent = worst is None or worst[2] < tol
     return ConsistencyReport(matrix=matrix, tol=tol, consistent=consistent,
                              worst_offdiagonal=worst)

@@ -30,6 +30,10 @@ from .errors import (
 ALGEBRA_TOL = 1e-12
 # Spectra, consistency verdicts and other derived numerical checks.
 SPECTRAL_TOL = 1e-10
+# Smallest consistency tolerance a run configuration may set: about 45 ulps
+# of 1, so the rounding in a report's sums of probabilities (a few ulps)
+# never fails a check.
+CONSISTENCY_TOL_FLOOR = 1e-14
 # Residual norm below which a vector counts as dependent on a partial basis.
 SPAN_DEPENDENCE_CUTOFF = 1e-10
 # Branch weight below which a branch counts as zero and is pruned.

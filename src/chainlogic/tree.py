@@ -169,7 +169,8 @@ class FrameworkTree:
 
     ``grown`` maps every branch path the build grew, pruned ones included,
     to its node as grown: a node's children are the members the schedule
-    declares under its path, in schedule order.
+    declares under its path, in schedule order.  It answers every path
+    lookup; ``leaves()`` is the one walk over the kept tree.
     """
 
     grid: TimeGrid
@@ -202,27 +203,9 @@ class FrameworkTree:
     def leaf_probabilities(self) -> tuple[tuple[BranchPath, float], ...]:
         return tuple((leaf.path, leaf.prob) for leaf in self.leaves())
 
-    def node_at(self, path: Iterable[str]) -> BranchNode:
-        node = self.root
-        for label in path:
-            for child in node.children:
-                if child.label == label:
-                    node = child
-                    break
-            else:
-                raise KeyError(f"no branch {tuple(path)!r} in this tree")
-        return node
-
     @property
     def choice_time_indices(self) -> tuple[int, ...]:
-        found: set[int] = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_choice:
-                found.add(node.time_index)
-            stack.extend(node.children)
-        return tuple(sorted(found))
+        return _choice_times(_leaf_chains(self))
 
     def _members_at(self, time_index: int,
                     prefix: BranchPath) -> tuple[BranchNode, ...]:
@@ -358,27 +341,28 @@ def _rebuild(node: BranchNode, tol: float,
 
 
 def _leaf_chains(tree: FrameworkTree) -> list[tuple[BranchNode, ...]]:
-    """Each leaf's path as nodes below the root, in ``leaves`` order."""
-    out: list[tuple[BranchNode, ...]] = []
-    stack: list[tuple[BranchNode, tuple[BranchNode, ...]]] = [(tree.root, ())]
-    while stack:
-        node, chain = stack.pop()
-        if node.children:
-            stack.extend((c, chain + (c,)) for c in reversed(node.children))
-        else:
-            out.append(chain)
-    return out
+    """Each leaf's path as grown nodes below the root, in ``leaves`` order."""
+    return [tuple(tree.grown[leaf.path[:k]] for k in range(1, len(leaf.path) + 1))
+            for leaf in tree.leaves()]
+
+
+def _choice_times(chains: Iterable[tuple[BranchNode, ...]]) -> tuple[int, ...]:
+    """Time indices of the choice events on ``chains``; every node of a
+    built or pruned tree lies on some leaf's chain."""
+    return tuple(sorted({n.time_index for chain in chains for n in chain
+                         if n.is_choice}))
 
 
 def to_history_family(tree: FrameworkTree) -> HistoryFamily:
     """All leaf histories of a purely quantum tree as one family."""
-    if tree.choice_time_indices:
+    chains = _leaf_chains(tree)
+    if _choice_times(chains):
         raise ValueError(
             "tree has classically weighted branches; its quantum content is "
             "blockwise, use tree_consistency instead")
     histories = tuple(History(grid=tree.grid, events=tuple(
         HistoryEvent(time_index=n.time_index, label=n.label, projector=n.projector)
-        for n in chain)) for chain in _leaf_chains(tree))
+        for n in chain)) for chain in chains)
     return HistoryFamily(grid=tree.grid, rho=tree.rho, histories=histories)
 
 
@@ -411,9 +395,10 @@ def tree_consistency(tree: FrameworkTree,
     """Per block of leaves with the same classical choices, the Gram matrix of
     their kets: bit for bit ``consistency_matrix`` of the leaf histories (an
     identity event at each choice), one-decomposition check included."""
-    choice_times = set(tree.choice_time_indices)
+    chains = _leaf_chains(tree)
+    choice_times = set(_choice_times(chains))
     groups: dict[BranchPath, list[tuple[BranchNode, ...]]] = {}
-    for chain in _leaf_chains(tree):
+    for chain in chains:
         key = tuple(n.label for n in chain if n.time_index in choice_times)
         groups.setdefault(key, []).append(chain)
     blocks = []

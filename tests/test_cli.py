@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import math
+import os
 import shutil
 import subprocess
+import tempfile
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainlogic import __version__, cli, hardy
 from chainlogic.cli import (
@@ -178,6 +185,38 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == ""
         assert "completion_seed must be a non-negative integer" in err
+
+    @pytest.mark.parametrize("tolerances, kind", [
+        ([], "list"), ("x", "str"), (0.1, "float"), (None, "NoneType"),
+    ], ids=["list", "string", "number", "null"])
+    def test_non_object_tolerances_refused(self, capsys, write_config,
+                                           tolerances, kind):
+        # a list used to crash on .items(), a string to be read as its keys
+        path = write_config({"tolerances": tolerances})
+        code, out, err = run_cli(capsys, "hardy", "--config", path)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"tolerances must be a JSON object, got {kind}" in err
+
+    @pytest.mark.parametrize("value", [1e-16, 1e-300])
+    @pytest.mark.parametrize("command", [("hardy",), ("counterfactual", "--both")],
+                             ids=["hardy", "counterfactual"])
+    def test_consistency_tolerance_below_the_floor_refused(
+            self, capsys, write_config, command, value):
+        # hardy used to report a rounding-sized no-signaling discrepancy as
+        # VIOLATED, counterfactual --both the contrast as NOT demonstrated
+        path = write_config({"tolerances": {"consistency": value}})
+        code, out, err = run_cli(capsys, *command, "--config", path)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"tolerances.consistency {value!r} is below the floor 1e-14" in err
+
+    def test_env_tolerance_below_the_floor_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHAINLOGIC_TOL", "1e-16")
+        code, out, err = run_cli(capsys, "hardy")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "CHAINLOGIC_TOL 1e-16 is below the floor 1e-14" in err
 
     def test_degenerate_basis_is_generic_failure(self, capsys, write_config):
         path = write_config({"amplitudes": [0.0, 1.0, 0.0],
@@ -547,6 +586,98 @@ class TestConfigLoading:
         path = write_config({"tolerances": {"consistency": 1e-14}})
         config = load_config(path, env={"CHAINLOGIC_TOL": "0.125"})
         assert config.tolerances.consistency == 0.125
+
+    def test_env_tolerance_at_the_floor_accepted(self):
+        config = load_config(None, env={"CHAINLOGIC_TOL": "1e-14"})
+        assert config.tolerances.consistency == 1e-14
+
+
+# -- fuzz of the CLI edge --------------------------------------------------------
+
+README_EXIT_CODES = {EXIT_OK, 1, EXIT_INCONSISTENT, EXIT_NOT_HARDY, EXIT_USAGE,
+                     EXIT_IO, EXIT_SOFTWARE}
+# where a number belongs: non-finite, zero, tiny, huge and negative values
+# beside ordinary ones, and every other JSON type
+NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, 5e-324,
+                           1e-300, 1e-16, 1e-14, 1e-12, 1e-3, 0.125, 0.5,
+                           ROOT3, 1, 1e300, -0.5, -1])
+WRONG_TYPES = st.one_of(st.none(), st.booleans(), st.sampled_from(["", "x"]),
+                        st.lists(NUMBERS, max_size=1),
+                        st.dictionaries(st.just("a"), NUMBERS, max_size=1))
+NUMBER_OR_NOT = st.one_of(NUMBERS, WRONG_TYPES)
+VALID_FIELDS = {
+    "schema": st.just(1),
+    "amplitudes": st.just([ROOT3, ROOT3, ROOT3]),
+    "choice_weights": st.just([[0.5, 0.5], [0.5, 0.5]]),
+    "mode": st.sampled_from(["particle", "apparatus"]),
+    "tolerances": st.just({}),
+    "completion_seed": st.sampled_from([None, 0, 7]),
+}
+# per field, a bad value: mostly a valid one with one entry replaced
+BAD_FIELDS = {
+    "schema": NUMBER_OR_NOT,
+    "amplitudes": st.one_of(
+        st.tuples(st.integers(0, 2),
+                  st.one_of(NUMBER_OR_NOT,
+                            st.lists(NUMBER_OR_NOT, min_size=2, max_size=2)))
+        .map(lambda d: [d[1] if i == d[0] else ROOT3 for i in range(3)]),
+        st.lists(NUMBERS, max_size=4), NUMBER_OR_NOT),
+    "choice_weights": st.one_of(
+        st.tuples(st.integers(0, 1), st.integers(0, 1), NUMBER_OR_NOT)
+        .map(lambda d: [[d[2] if (side, k) == d[:2] else 0.5 for k in range(2)]
+                        for side in range(2)]),
+        st.lists(st.lists(NUMBERS, max_size=3), max_size=3), NUMBER_OR_NOT),
+    "mode": NUMBER_OR_NOT,
+    "tolerances": st.one_of(
+        st.dictionaries(st.sampled_from(["consistency", "prune", "slack"]),
+                        NUMBER_OR_NOT, min_size=1, max_size=3),
+        NUMBER_OR_NOT),
+    "completion_seed": st.one_of(st.integers(-2, 2 ** 70), NUMBER_OR_NOT),
+}
+BAD_FIELD = st.sampled_from(sorted(BAD_FIELDS)).flatmap(
+    lambda key: st.tuples(st.just(key), BAD_FIELDS[key]))
+# a valid config, then up to two of its fields replaced by bad values
+CONFIGS = st.builds(lambda valid, bad: {**valid, **dict(bad)},
+                    st.fixed_dictionaries({}, optional=VALID_FIELDS),
+                    st.lists(BAD_FIELD, max_size=2))
+FLOAT_TEXT = st.sampled_from(["nan", "inf", "-inf", "0", "1e-300", "1e-16",
+                              "1e-14", "0.125", "0.5", "0.7", "1e300", "-0.5",
+                              "x", ""])
+COMMANDS = {
+    "hardy": ["hardy", "--json"],
+    "counterfactual": ["counterfactual", "--both", "--json"],
+    "sweep": ["sweep", "--format", "csv"],
+}
+
+
+class TestCliEdgeFuzz:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(config=CONFIGS,
+           env_tol=st.one_of(st.none(), FLOAT_TEXT),
+           command=st.sampled_from(sorted(COMMANDS)),
+           values=st.lists(st.one_of(st.sampled_from(["0.1", "0.5"]), FLOAT_TEXT),
+                           max_size=3).map(",".join))
+    # crashes this fuzz found: tolerances read as a mapping, a float power
+    # past 1e308
+    @example(config={"tolerances": []}, env_tol=None, command="hardy", values="")
+    @example(config={"amplitudes": [1e300, ROOT3, ROOT3]}, env_tol=None,
+             command="hardy", values="")
+    def test_every_run_ends_with_a_documented_exit_code(self, config, env_tol,
+                                                        command, values):
+        argv = list(COMMANDS[command])
+        if command == "sweep":
+            argv.append(f"--values={values}")
+        with tempfile.TemporaryDirectory() as scratch, \
+                mock.patch.dict(os.environ), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            path = Path(scratch) / "config.json"
+            path.write_text(json.dumps(config))  # NaN and Infinity literals
+            os.environ.pop("CHAINLOGIC_TOL", None)
+            if env_tol is not None:
+                os.environ["CHAINLOGIC_TOL"] = env_tol
+            code = main([*argv, "--config", str(path)])
+        assert code in README_EXIT_CODES
 
 
 class TestConsoleScript:

@@ -10,7 +10,7 @@ import oracles
 from chainlogic.counterfactual import (
     SUFFIX_SEPARATOR,
     CounterfactualQuery,
-    _declared_labels,
+    _check_labels_in_framework,
     evaluate_counterfactual,
     evaluate_switch_counterfactual,
     find_pivot,
@@ -260,8 +260,21 @@ class TestFrameworkGuards:
 
     def test_declared_labels_read_the_schedule_not_the_nodes(self):
         tree = replace(pruned_fork_tree(), root=None)
-        assert _declared_labels(tree, 1) == {"a", "b"}
-        assert _declared_labels(tree, 2) == {"x+", "x-", "y+", "y-"}
+
+        def declared(time_index):
+            found = set()
+            for label in ("a", "b", "x+", "x-", "y+", "y-", "z"):
+                query = CounterfactualQuery(premise={time_index: label},
+                                            pivot_time=1, alternative="a")
+                try:
+                    _check_labels_in_framework(tree, query)
+                except FrameworkViolationError:
+                    continue
+                found.add(label)
+            return found
+
+        assert declared(1) == {"a", "b"}
+        assert declared(2) == {"x+", "x-", "y+", "y-"}
 
 
 class TestSwitchVerdicts:

@@ -509,10 +509,13 @@ class TestApparatusMode:
     def test_register_states_encode_choice_weights(self):
         scenario = build_measurement_scenario(
             EQUAL, mode="apparatus", choice_weights=((0.25, 0.75), (0.5, 0.5)))
-        chi = scenario.apparatus.ready_state("L")
-        assert abs(chi[0]) ** 2 == pytest.approx(0.25, abs=1e-12)
-        assert abs(chi[1]) ** 2 == pytest.approx(0.75, abs=1e-12)
-        assert np.abs(chi[2:]).max() == 0.0
+        # populations of the left register (qubit L, qubit R, register L,
+        # register R)
+        amps = scenario.tree.rho.factor.reshape(2, 2, 6, 6)
+        population = (np.abs(amps) ** 2).sum(axis=(0, 1, 3))
+        assert population[0] == pytest.approx(0.25, abs=1e-12)
+        assert population[1] == pytest.approx(0.75, abs=1e-12)
+        assert population[2:].max() == 0.0
 
     def test_joint_table_matches_weighted_oracle(self):
         weights = ((0.25, 0.75), (0.6, 0.4))

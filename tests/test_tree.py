@@ -105,10 +105,10 @@ class TestBuildTree:
 
     def test_node_lookup(self):
         tree = zx_tree()
-        node = tree.node_at(("z+",))
+        node = tree.grown[("z+",)]
         assert node.prob == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(KeyError):
-            tree.node_at(("sideways",))
+            tree.grown[("sideways",)]
 
     def test_incomplete_layer_needs_vanishing_residual(self):
         grid = TimeGrid.identity((0.0, 1.0), 2)
@@ -164,7 +164,7 @@ class TestBuildTree:
         tree = build_tree(grid, [z_layer(), x_layer()], rho)
         assert len(tree.leaves()) == 4
         for leaf in tree.leaves():
-            p1 = tree.node_at(leaf.path[:1]).projector.matrix
+            p1 = tree.grown[leaf.path[:1]].projector.matrix
             f = leaf.projector.matrix @ u @ p1 @ u
             want = np.trace(f @ rho.matrix @ f.conj().T).real
             assert leaf.prob == pytest.approx(want, abs=1e-12)
@@ -237,6 +237,15 @@ class TestTreeConsistency:
         assert first[0] == second[0] and first[2] == second[2]
         assert {first[1], second[1]} == {"z+", "z-"}
 
+    def test_orthogonal_tree_names_two_distinct_histories(self):
+        # |x+> measured along z: the two kets overlap in exactly 0
+        grid = TimeGrid.identity((0.0, 1.0), 2)
+        report = tree_consistency(build_tree(grid, [z_layer()],
+                                             StateVector(X_PLUS)))
+        assert report.consistent
+        assert report.worst == ((), 0, 1, 0.0)
+        assert report.worst_paths == (("z+",), ("z-",))
+
     def test_to_history_family_round_trip(self):
         tree = zx_tree()
         family = to_history_family(tree)
@@ -291,7 +300,7 @@ def reference_blocks(tree):
     for leaf in tree.leaves():
         events = []
         for t in range(1, tree.depth + 1):
-            node = tree.node_at(leaf.path[:t])
+            node = tree.grown[leaf.path[:t]]
             events.append(HistoryEvent(
                 time_index=t, label=node.label,
                 projector=no_event if node.projector is None
@@ -364,7 +373,7 @@ class TestConsistencyFromKets:
     def test_choice_weights_stay_out_of_the_ket(self):
         tree = self.TREES["choice-middle"]
         for path in ((), ("x+",), ("x-",)):
-            assert tree.node_at(path).ket is tree.node_at(path).state
+            assert tree.grown[path].ket is tree.grown[path].state
         for leaf in tree.leaves():
             weight = 0.3 if leaf.path[1] == "heads" else 0.7
             assert leaf.ket is not leaf.state
