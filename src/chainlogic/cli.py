@@ -16,9 +16,8 @@ Exit codes:
     70  a numerical fault: a probability below the negativity floor or a
         measurement unitary off unitarity
 
-The environment variable CHAINLOGIC_TOL, when set, overrides the
-consistency tolerance from the config (it must parse as a float in (0, 1),
-no smaller than CONSISTENCY_TOL_FLOOR, 1e-14, like the config's own).
+The environment variable CHAINLOGIC_TOL, when set, overrides the config's
+consistency tolerance and is read like it: a float in [1e-14, 1).
 JSON output is deterministic: keys are sorted and floats are emitted at full
 precision, so identical runs produce byte-identical reports.
 """
@@ -33,7 +32,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -58,6 +57,7 @@ from .hardy import (
     HardyScenario,
     NoSignalingReport,
     PredictionReport,
+    _validate_choice_weights,
     build_measurement_scenario,
     joint_probability_table,
     no_signaling_report,
@@ -91,6 +91,9 @@ _CONFIG_KEYS = {"schema", "amplitudes", "choice_weights", "mode",
 AMPLITUDE_REFUSE_DEVIATION = 1e-6
 # ... and above this, rescaled to unit norm with a warning.
 AMPLITUDE_WARN_DEVIATION = 1e-12
+# the tolerances a config may set, each in (0, 1), and the floor below which
+# one would fail checks on rounding alone
+_TOLERANCE_FLOORS = {"consistency": CONSISTENCY_TOL_FLOOR, "prune": -math.inf}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,22 +114,35 @@ class RunConfig:
     completion_seed: int | None
 
 
-def _complex_from(entry, position: int) -> complex:
-    parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-               for x in parts):
+def _number(value, name: str, kind: type, expected: str, lo: float = -math.inf,
+            hi: float = math.inf, floor: float = -math.inf):
+    """``value`` of config field ``name`` as a ``kind``: a JSON number of that
+    kind (a bool is neither; an int field refuses 1.0), finite as a float, in
+    [lo, hi] for an int or (lo, hi) for a float, and not below ``floor``.  Each
+    refusal is a ConfigError naming the field; ``expected`` says what it takes."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or kind is int and isinstance(value, float)):
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, ±inf or an int past float range
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if not (lo <= value <= hi if kind is int else lo < value < hi):
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    if value < floor:
         raise ConfigError(
-            f"amplitude {position} must be a number or a [re, im] pair")
-    # Python's json reads NaN, Infinity and overflowing literals as floats
-    if not all(math.isfinite(x) for x in parts):
-        raise ConfigError(f"amplitude {position} must be finite, got {entry!r}")
-    return complex(*parts)
+            f"{name} {value!r} is below the floor {floor!r}; "
+            "a smaller tolerance would fail checks on rounding alone")
+    return kind(value)
 
 
 def _amplitudes_from(data) -> HardyAmplitudes:
     if not isinstance(data, list) or len(data) != 3:
         raise ConfigError("amplitudes must be a list of three entries")
-    triple = [_complex_from(entry, i) for i, entry in enumerate(data)]
+    triple = []
+    for i, entry in enumerate(data):
+        parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
+        triple.append(complex(*(
+            _number(x, f"amplitude {i}", float, "a number or a [re, im] pair")
+            for x in parts)))
     try:
         norm = math.sqrt(sum(abs(x) ** 2 for x in triple))
     except OverflowError:  # a float power past 1e308 raises, not inf
@@ -145,50 +161,38 @@ def _amplitudes_from(data) -> HardyAmplitudes:
 
 
 def _choice_weights_from(data) -> ChoiceWeights:
-    ok = (isinstance(data, list) and len(data) == 2
-          and all(isinstance(side, list) and len(side) == 2
-                  and all(isinstance(w, (int, float)) and not isinstance(w, bool)
-                          for w in side)
-                  for side in data))
-    if not ok:
+    if not (isinstance(data, list) and len(data) == 2
+            and all(isinstance(side, list) and len(side) == 2 for side in data)):
         raise ConfigError("choice_weights must be [[wL1, wL2], [wR1, wR2]]")
-    for side, pair in zip("LR", data):
-        if not all(w > 0 for w in pair):
-            raise ConfigError(
-                f"choice_weights for side {side} must both be > 0; a zero "
-                "weight leaves that setting's conditional probabilities undefined")
-    return ((float(data[0][0]), float(data[0][1])),
-            (float(data[1][0]), float(data[1][1])))
-
-
-def _check_consistency_floor(value: float, source: str) -> None:
-    if value < CONSISTENCY_TOL_FLOOR:
-        raise ConfigError(
-            f"{source} {value!r} is below the floor {CONSISTENCY_TOL_FLOOR!r}; "
-            "a smaller tolerance would fail checks on rounding alone")
+    # a zero weight leaves that setting's conditional probabilities undefined
+    weights = tuple(
+        tuple(_number(w, f"choice weight {k + 1} of side {side}", float,
+                      "a number > 0", 0.0) for k, w in enumerate(pair))
+        for side, pair in zip("LR", data))
+    _validate_choice_weights(weights)  # each side sums to 1
+    return weights
 
 
 def load_config(path: str | None, env: dict | None = None) -> RunConfig:
     """Read a run configuration; missing fields fall back to the default
-    scenario.  I/O failures propagate as OSError, content problems raise
-    ConfigError."""
+    scenario.  This is the one place a config is judged, so every
+    subcommand accepts or refuses it alike: each number goes through
+    ``_number``, and the choice weights through the library's own check.
+    I/O failures propagate as OSError, content problems raise ConfigError."""
     env = os.environ if env is None else env
     data: dict = {}
     if path is not None:
         text = Path(path).read_text()
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int literal past 4300 digits
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if data.get("schema", REPORT_SCHEMA_VERSION) != REPORT_SCHEMA_VERSION:
-            raise ConfigError(
-                f"unsupported config schema {data.get('schema')!r}")
-
+    _number(data.get("schema", 1), "schema", int, "the integer 1", 1, 1)
     amplitudes = (_amplitudes_from(data["amplitudes"])
                   if "amplitudes" in data else HardyAmplitudes.equal())
     weights = (_choice_weights_from(data["choice_weights"])
@@ -200,11 +204,19 @@ def load_config(path: str | None, env: dict | None = None) -> RunConfig:
     if not isinstance(raw_tolerances, dict):
         raise ConfigError("tolerances must be a JSON object, got "
                           f"{type(raw_tolerances).__name__} {raw_tolerances!r}")
-    try:
-        tolerances = Tolerances.from_mapping(raw_tolerances)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad tolerances: {exc}") from exc
-    _check_consistency_floor(tolerances.consistency, "tolerances.consistency")
+    unknown = set(raw_tolerances) - set(_TOLERANCE_FLOORS)
+    if unknown:
+        raise ConfigError(f"bad tolerances: unknown tolerance keys: {sorted(unknown)}")
+    # CHAINLOGIC_TOL is read after, and so overrides, the config's own
+    reads = [(f"tolerances.{key}", key, value) for key, value in raw_tolerances.items()]
+    if TOL_ENV_VAR in env:
+        try:
+            reads.append((TOL_ENV_VAR, "consistency", float(env[TOL_ENV_VAR])))
+        except ValueError:
+            raise ConfigError(f"{TOL_ENV_VAR} must be a float, got {env[TOL_ENV_VAR]!r}")
+    tolerances = Tolerances(**{
+        key: _number(value, name, float, "a number in (0, 1)", 0.0, 1.0,
+                     _TOLERANCE_FLOORS[key]) for name, key, value in reads})
     # a branch's weight is at most its setting pair's, and pruning drops
     # branches by that absolute weight
     left, right = min(weights[0]), min(weights[1])
@@ -214,21 +226,9 @@ def load_config(path: str | None, env: dict | None = None) -> RunConfig:
             f"not above the prune tolerance {tolerances.prune!r}; pruning would "
             "erase that setting pair")
     seed = data.get("completion_seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
-                             or seed < 0):
-        raise ConfigError(
-            f"completion_seed must be a non-negative integer or null, got {seed!r}")
-
-    raw_tol = env.get(TOL_ENV_VAR)
-    if raw_tol is not None:
-        try:
-            value = float(raw_tol)
-        except ValueError:
-            raise ConfigError(f"{TOL_ENV_VAR} must be a float, got {raw_tol!r}")
-        if not 0.0 < value < 1.0:
-            raise ConfigError(f"{TOL_ENV_VAR} must lie in (0, 1), got {value!r}")
-        _check_consistency_floor(value, TOL_ENV_VAR)
-        tolerances = replace(tolerances, consistency=value)
+    if seed is not None:
+        seed = _number(seed, "completion_seed", int,
+                       "a non-negative integer or null", 0)
     return RunConfig(amplitudes=amplitudes, choice_weights=weights, mode=mode,
                      tolerances=tolerances, completion_seed=seed)
 

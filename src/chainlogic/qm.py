@@ -58,7 +58,7 @@ class Tolerances:
         unknown = set(data) - {"consistency", "prune"}
         if unknown:
             raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in data.items()})
+        return cls(**data)
 
 
 def _frozen_complex(arr: np.ndarray) -> np.ndarray:

@@ -34,6 +34,8 @@ from chainlogic.errors import ConfigError
 from chainlogic.hardy import DEFAULT_CHOICE_WEIGHTS, HardyAmplitudes
 
 ROOT3 = 0.5773502691896258
+# an integer JSON literal too large for a float: Python's json reads it exactly
+LONG_INT = 10 ** 400
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -113,6 +115,17 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "config error" in err
 
+    def test_integer_literal_past_the_digit_limit_refused(self, capsys, tmp_path):
+        # json raises a plain ValueError, not a JSONDecodeError, for an int
+        # literal past Python's 4300-digit limit; it used to end the run with
+        # a traceback
+        path = tmp_path / "config.json"
+        path.write_text('{"completion_seed": 1%s}' % ("0" * 5000))
+        code, out, err = run_cli(capsys, "hardy", "--config", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "config is not valid JSON" in err
+
     def test_unknown_config_key(self, capsys, write_config):
         path = write_config({"amplitude": [ROOT3, ROOT3, ROOT3]})
         code, _, err = run_cli(capsys, "hardy", "--config", path)
@@ -132,6 +145,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("literal", [
         "[NaN, 0.5, 0.5]", "[0.5, [0.5, Infinity], 0.5]", "[-Infinity, 0.5, 0.5]",
+        "[%d, 0.5, 0.5]" % LONG_INT,
     ])
     def test_non_finite_amplitudes_refused(self, capsys, tmp_path, literal):
         # Python's json reads the NaN and Infinity literals as floats
@@ -160,6 +174,63 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == ""
         assert f"side {side}" in err
+
+    @pytest.mark.parametrize("config, message", [
+        ({"schema": True}, "schema must be the integer 1, got True"),
+        ({"schema": 1.0}, "schema must be the integer 1, got 1.0"),
+        ({"schema": "1"}, "schema must be the integer 1, got '1'"),
+        ({"tolerances": {"consistency": "1e-3"}},
+         "tolerances.consistency must be a number in (0, 1), got '1e-3'"),
+        ({"tolerances": {"prune": "1e-13"}},
+         "tolerances.prune must be a number in (0, 1), got '1e-13'"),
+        ({"tolerances": {"prune": True}},
+         "tolerances.prune must be a number in (0, 1), got True"),
+        ({"choice_weights": [[math.nan, 0.5], [0.5, 0.5]]},
+         "choice weight 1 of side L must be finite, got nan"),
+    ], ids=["schema-true", "schema-float", "schema-string", "consistency-string",
+            "prune-string", "prune-true", "weight-nan"])
+    def test_config_number_read_strictly(self, capsys, write_config, config,
+                                         message):
+        # the first two used to run as schema 1, the string tolerances to be
+        # read as floats, a bool prune as 1.0 and a NaN weight as a zero one
+        path = write_config(config)
+        code, out, err = run_cli(capsys, "hardy", "--config", path)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("config, field", [
+        ({"choice_weights": [[LONG_INT, 0.5], [0.5, 0.5]]},
+         "choice weight 1 of side L"),
+        ({"tolerances": {"prune": LONG_INT}}, "tolerances.prune"),
+        ({"tolerances": {"consistency": LONG_INT}}, "tolerances.consistency"),
+        ({"completion_seed": LONG_INT}, "completion_seed"),
+    ], ids=["weight", "prune", "consistency", "seed"])
+    def test_integer_past_the_float_range_refused(self, capsys, write_config,
+                                                  config, field):
+        # the weight and the tolerances used to end hardy with an uncaught
+        # OverflowError from float(), and the seed to be accepted
+        path = write_config(config)
+        code, out, err = run_cli(capsys, "hardy", "--config", path)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"{field} must be finite" in err
+
+    @pytest.mark.parametrize("weights, message", [
+        ([[0.3, 0.3], [0.5, 0.5]], "sum to 0.6, not 1"),
+        ([[math.inf, 0.5], [0.5, 0.5]], "choice weight 1 of side L must be finite"),
+    ], ids=["sum", "infinite"])
+    def test_choice_weights_judged_alike_by_every_subcommand(
+            self, capsys, write_config, weights, message):
+        # consistency --demo and sweep --maximize-s4 used to run on them
+        path = write_config({"choice_weights": weights})
+        errors = set()
+        for command in (["hardy"], ["consistency", "--demo", "xzx"],
+                        ["sweep", "--maximize-s4", "--format", "csv"]):
+            code, out, err = run_cli(capsys, *command, "--config", path)
+            assert (code, out) == (EXIT_USAGE, "")
+            errors.add(err)
+        assert len(errors) == 1 and message in errors.pop()
 
     @pytest.mark.parametrize("command", [("hardy",), ("counterfactual", "--both")],
                              ids=["hardy", "counterfactual"])
@@ -600,8 +671,10 @@ README_EXIT_CODES = {EXIT_OK, 1, EXIT_INCONSISTENT, EXIT_NOT_HARDY, EXIT_USAGE,
 # beside ordinary ones, and every other JSON type
 NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, 5e-324,
                            1e-300, 1e-16, 1e-14, 1e-12, 1e-3, 0.125, 0.5,
-                           ROOT3, 1, 1e300, -0.5, -1])
-WRONG_TYPES = st.one_of(st.none(), st.booleans(), st.sampled_from(["", "x"]),
+                           ROOT3, 1, 1e300, LONG_INT, -0.5, -1])
+# a float is the wrong type for the integer fields schema and completion_seed
+WRONG_TYPES = st.one_of(st.none(), st.booleans(),
+                        st.sampled_from(["", "x", "1e-3", "1", 1.0]),
                         st.lists(NUMBERS, max_size=1),
                         st.dictionaries(st.just("a"), NUMBERS, max_size=1))
 NUMBER_OR_NOT = st.one_of(NUMBERS, WRONG_TYPES)
@@ -662,6 +735,11 @@ class TestCliEdgeFuzz:
     @example(config={"tolerances": []}, env_tol=None, command="hardy", values="")
     @example(config={"amplitudes": [1e300, ROOT3, ROOT3]}, env_tol=None,
              command="hardy", values="")
+    # an OverflowError from float() of a long integer literal, and a bool
+    # schema read as schema 1
+    @example(config={"choice_weights": [[LONG_INT, 0.5], [0.5, 0.5]]},
+             env_tol=None, command="hardy", values="")
+    @example(config={"schema": True}, env_tol=None, command="sweep", values="0.5")
     def test_every_run_ends_with_a_documented_exit_code(self, config, env_tol,
                                                         command, values):
         argv = list(COMMANDS[command])
@@ -678,6 +756,12 @@ class TestCliEdgeFuzz:
                 os.environ["CHAINLOGIC_TOL"] = env_tol
             code = main([*argv, "--config", str(path)])
         assert code in README_EXIT_CODES
+        tolerances = config.get("tolerances")
+        read_as_numbers = [config.get("schema"), config.get("completion_seed"),
+                           *(tolerances.values() if isinstance(tolerances, dict)
+                             else [])]
+        if any(isinstance(value, (bool, str)) for value in read_as_numbers):
+            assert code == EXIT_USAGE
 
 
 class TestConsoleScript:

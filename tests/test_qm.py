@@ -476,6 +476,9 @@ class TestTolerances:
             Tolerances(consistency=0.0)
         with pytest.raises(ValueError):
             Tolerances(prune=2.0)
+        # from_mapping passes values through, so a string meets the same check
+        with pytest.raises(ValueError, match="must lie in"):
+            Tolerances.from_mapping({"consistency": "1e-3"})
 
 
 def test_commutator_norm_zx():
