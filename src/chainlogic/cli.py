@@ -94,6 +94,8 @@ AMPLITUDE_WARN_DEVIATION = 1e-12
 # the tolerances a config may set, each in (0, 1), and the floor below which
 # one would fail checks on rounding alone
 _TOLERANCE_FLOORS = {"consistency": CONSISTENCY_TOL_FLOOR, "prune": -math.inf}
+# a refused config value longer than this is shown cut short
+_SHOWN_CHARS = 40
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,6 +116,19 @@ class RunConfig:
     completion_seed: int | None
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, cut to its first characters when
+    long: a JSON integer literal may run to 4300 digits."""
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    if isinstance(value, int):
+        size = f"{len(text.lstrip('-'))} digits"
+    else:
+        size = f"{len(text)} characters"
+    return f"{text[:_SHOWN_CHARS // 2]}... ({size})"
+
+
 def _number(value, name: str, kind: type, expected: str, lo: float = -math.inf,
             hi: float = math.inf, floor: float = -math.inf):
     """``value`` of config field ``name`` as a ``kind``: a JSON number of that
@@ -122,14 +137,14 @@ def _number(value, name: str, kind: type, expected: str, lo: float = -math.inf,
     refusal is a ConfigError naming the field; ``expected`` says what it takes."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or kind is int and isinstance(value, float)):
-        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+        raise ConfigError(f"{name} must be {expected}, got {_shown(value)}")
     if not abs(value) <= sys.float_info.max:  # NaN, ±inf or an int past float range
-        raise ConfigError(f"{name} must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be finite, got {_shown(value)}")
     if not (lo <= value <= hi if kind is int else lo < value < hi):
-        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+        raise ConfigError(f"{name} must be {expected}, got {_shown(value)}")
     if value < floor:
         raise ConfigError(
-            f"{name} {value!r} is below the floor {floor!r}; "
+            f"{name} {_shown(value)} is below the floor {floor!r}; "
             "a smaller tolerance would fail checks on rounding alone")
     return kind(value)
 

@@ -275,23 +275,28 @@ class DensityOperator:
     state vector for an operator built from one, else a (dim, r) matrix of
     the eigenvectors above ``numerical_rank_cutoff`` scaled by sqrt-eigenvalues.
 
-    ``entries`` is the matrix as given, or None for a pure state given by its
-    vector alone (``from_state``).  Such a state stores only the vector,
-    checked finite and of unit norm within ``ALGEBRA_TOL``; its ``matrix``,
-    ``outer(v)``, is built when first read.  That matrix is hermitian by
-    construction, its trace is |v|^2 and its spectrum is {|v|^2, 0, ...}, so
-    the unit-norm check is the trace check and no eigenvalue can be negative.
+    ``entries`` is the matrix as given, or None where only the factor is
+    stored and ``matrix`` is built when first read.  That happens on two
+    routes.  A pure state given by its vector alone (``from_state``) is
+    checked finite and of unit norm within ``ALGEBRA_TOL``; its matrix,
+    ``outer(v)``, is hermitian by construction, its trace is |v|^2 and its
+    spectrum is {|v|^2, 0, ...}, so the unit-norm check is the trace check and
+    no eigenvalue can be negative.  A ``tensor`` product stores the kron of
+    its operands' factors and keeps the operands, whose matrices' kron is its
+    matrix.  Both operands passed their checks, so the product is hermitian,
+    its trace is the product of two unit traces and its eigenvalues are
+    products lambda * mu with mu <= 1, none below -``SPECTRAL_TOL``: it is
+    checked no further.
 
     Every given matrix is checked for finiteness, hermiticity and unit trace.
-    The spectrum is checked only where it is not yet known: a matrix given
-    without a factor is eigendecomposed and refused below -``SPECTRAL_TOL``.
-    A matrix comes with a factor only from ``tensor``, whose matrix is the
-    kron of two operators that each passed the floor, so its eigenvalues are
-    products lambda * mu with mu <= 1, none below -``SPECTRAL_TOL``.
+    Its spectrum is checked where it is not yet known: a matrix given without
+    a factor is eigendecomposed and refused below -``SPECTRAL_TOL``, while one
+    given with its factor A is A A^dagger and so positive semidefinite.
     """
 
     entries: np.ndarray | None
     factor: np.ndarray | None = field(default=None, repr=False)
+    _operands: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         factor = self.factor
@@ -334,7 +339,11 @@ class DensityOperator:
     def matrix(self) -> np.ndarray:
         if self.entries is not None:
             return self.entries
-        built = outer(self.factor)
+        if self._operands is None:
+            built = outer(self.factor)
+        else:
+            left, right = self._operands
+            built = np.kron(left.matrix, right.matrix)
         built.setflags(write=False)
         return built
 
@@ -348,8 +357,13 @@ class DensityOperator:
         a, b = self.factor, other.factor
         if a.ndim != b.ndim:  # one side pure: treat its vector as a column
             a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
-        return DensityOperator(np.kron(self.matrix, other.matrix),
-                               factor=np.kron(a, b))
+        # both operands passed their checks, which cover the product (see the
+        # class docstring), so it bypasses the constructor's
+        product = object.__new__(DensityOperator)
+        object.__setattr__(product, "entries", None)
+        object.__setattr__(product, "factor", _frozen_complex(np.kron(a, b)))
+        object.__setattr__(product, "_operands", (self, other))
+        return product
 
 
 @dataclass(frozen=True, eq=False)

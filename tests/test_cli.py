@@ -216,6 +216,24 @@ class TestExitCodes:
         assert out == ""
         assert f"{field} must be finite" in err
 
+    @pytest.mark.parametrize("config, message", [
+        ({"completion_seed": LONG_INT},
+         "completion_seed must be finite, got 10000000000000000000... (401 digits)"),
+        ({"completion_seed": -LONG_INT}, "(401 digits)"),
+        ({"schema": "1" * 5000}, "schema must be the integer 1, got '111"),
+        ({"choice_weights": [[[0.5] * 1000, 0.5], [0.5, 0.5]]},
+         "choice weight 1 of side L must be a number"),
+    ], ids=["int", "negative-int", "string", "list"])
+    def test_refused_long_value_shown_short(self, capsys, write_config,
+                                            config, message):
+        # the whole value used to go into the message: 401 digits for 10**400
+        path = write_config(config)
+        code, out, err = run_cli(capsys, "hardy", "--config", path)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+        assert len(err) < 200
+
     @pytest.mark.parametrize("weights, message", [
         ([[0.3, 0.3], [0.5, 0.5]], "sum to 0.6, not 1"),
         ([[math.inf, 0.5], [0.5, 0.5]], "choice weight 1 of side L must be finite"),

@@ -335,6 +335,19 @@ class TestNoSpectralCheckOnBuiltStates:
         assert verify_hardy_predictions(scenario).s4 > 0.0
 
 
+def test_mixed_apparatus_build_and_query_form_no_dense_state():
+    # the 144-dim state is formed as its factor alone (entries None), and its
+    # 144x144 matrix is built only if something reads it
+    psi = hardy_state(EQUAL).amps
+    noisy = qm.DensityOperator(0.95 * outer(psi) + 0.05 * qm.identity(4) / 4.0)
+    scenario = build_measurement_scenario(
+        state=noisy, settings=hardy_settings(EQUAL), mode="apparatus")
+    assert locality_report(scenario).no_signaling.passes
+    assert scenario.tree.rho.dim == 144
+    assert scenario.tree.rho.entries is None
+    assert "matrix" not in vars(scenario.tree.rho)
+
+
 class TestSchedule:
     def test_particle_build_makes_each_event_once(self, monkeypatch):
         made: dict[str, list] = {"projector": [], "pair": [], "choice": []}

@@ -269,6 +269,25 @@ def pure_register(rng: np.random.Generator) -> DensityOperator:
     return DensityOperator.from_state(StateVector(v / np.linalg.norm(v)))
 
 
+def mixed_register(rng: np.random.Generator) -> DensityOperator:
+    """A rank-2 mixed state of the two 6-level apparatus registers."""
+    q, _ = np.linalg.qr(rng.normal(size=(36, 2)) + 1j * rng.normal(size=(36, 2)))
+    return DensityOperator(0.7 * outer(q[:, 0]) + 0.3 * outer(q[:, 1]))
+
+
+def pure_pair() -> DensityOperator:
+    return DensityOperator.from_state(hardy_state(HardyAmplitudes.equal()))
+
+
+# (left, right, product factor shape); the noisy pair has rank 4
+TENSOR_OPERANDS = {
+    "mixed-pure": (lambda rng: (noisy_hardy_pair(), pure_register(rng)), (144, 4)),
+    "pure-mixed": (lambda rng: (pure_register(rng), noisy_hardy_pair()), (144, 4)),
+    "mixed-mixed": (lambda rng: (noisy_hardy_pair(), mixed_register(rng)), (144, 8)),
+    "pure-pure": (lambda rng: (pure_pair(), pure_register(rng)), (144,)),
+}
+
+
 class TestDensityFactor:
     def test_full_rank_state(self, rng):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -300,6 +319,19 @@ class TestDensityFactor:
         flipped = register.tensor(pair)  # pure on the left
         assert flipped.factor.shape == (144, 4)
         assert reconstruction_error(flipped) < 1e-12
+
+    @pytest.mark.parametrize("kinds", sorted(TENSOR_OPERANDS))
+    def test_tensor_stores_only_the_factor(self, rng, kinds):
+        make, shape = TENSOR_OPERANDS[kinds]
+        left, right = make(rng)
+        product = left.tensor(right)
+        assert "matrix" not in vars(product)
+        assert product.entries is None
+        assert product.factor.shape == shape
+        # built on first read, the same bits as the kron of the two matrices
+        assert np.array_equal(product.matrix, np.kron(left.matrix, right.matrix))
+        assert not product.matrix.flags.writeable
+        assert reconstruction_error(product) < 1e-12
 
 
 class TestProjectiveDecomposition:
