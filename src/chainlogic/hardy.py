@@ -143,7 +143,11 @@ class HardyAmplitudes:
     def random(cls, rng: np.random.Generator,
                floor: float = 0.05) -> "HardyAmplitudes":
         """Random complex strict triple; rejection keeps every magnitude
-        above ``floor`` so conditional ratios stay well scaled."""
+        above ``floor`` so conditional ratios stay well scaled.  A unit
+        triple's smallest magnitude is at most 1/sqrt(3), so ``floor`` must
+        lie in [0, 1/sqrt(3))."""
+        if not 0.0 <= floor < 1.0 / math.sqrt(3.0):
+            raise ValueError("random needs 0 <= floor < 1/sqrt(3)")
         while True:
             raw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             raw = raw / np.linalg.norm(raw)

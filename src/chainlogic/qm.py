@@ -271,45 +271,30 @@ def numerical_rank_cutoff(eigenvalues: np.ndarray, dim: int) -> float:
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace operator.
 
-    ``factor`` is a private square-root factor A, ``matrix`` = A A^dagger: the
-    state vector for an operator built from one, else a (dim, r) matrix of
-    the eigenvectors above ``numerical_rank_cutoff`` scaled by sqrt-eigenvalues.
+    ``factor`` is a square-root factor A, ``matrix`` = A A^dagger: a state
+    vector, or a (dim, r) matrix whose columns are the eigenvectors above
+    ``numerical_rank_cutoff`` scaled by sqrt-eigenvalues.  It is never given.
 
-    ``entries`` is the matrix as given, or None where only the factor is
-    stored and ``matrix`` is built when first read.  That happens on two
-    routes.  A pure state given by its vector alone (``from_state``) is
-    checked finite and of unit norm within ``ALGEBRA_TOL``; its matrix,
-    ``outer(v)``, is hermitian by construction, its trace is |v|^2 and its
-    spectrum is {|v|^2, 0, ...}, so the unit-norm check is the trace check and
-    no eigenvalue can be negative.  A ``tensor`` product stores the kron of
+    ``DensityOperator(matrix)`` checks the matrix for finiteness, hermiticity
+    and unit trace, eigendecomposes it, refuses an eigenvalue below
+    -``SPECTRAL_TOL`` and keeps the matrix as ``entries``.
+
+    ``from_state`` and ``tensor`` store only the factor (``entries`` is None)
+    and build ``matrix`` when first read.  ``from_state`` checks the vector's
+    norm within ``ALGEBRA_TOL``: ``outer(v)`` is hermitian by construction,
+    its trace is |v|^2 and its spectrum {|v|^2, 0, ...}, so that is the trace
+    check and no eigenvalue can be negative.  ``tensor`` stores the kron of
     its operands' factors and keeps the operands, whose matrices' kron is its
     matrix.  Both operands passed their checks, so the product is hermitian,
     its trace is the product of two unit traces and its eigenvalues are
-    products lambda * mu with mu <= 1, none below -``SPECTRAL_TOL``: it is
-    checked no further.
-
-    Every given matrix is checked for finiteness, hermiticity and unit trace.
-    Its spectrum is checked where it is not yet known: a matrix given without
-    a factor is eigendecomposed and refused below -``SPECTRAL_TOL``, while one
-    given with its factor A is A A^dagger and so positive semidefinite.
+    products lambda * mu with mu <= 1, none below -``SPECTRAL_TOL``.
     """
 
     entries: np.ndarray | None
-    factor: np.ndarray | None = field(default=None, repr=False)
+    factor: np.ndarray = field(init=False, repr=False)
     _operands: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        factor = self.factor
-        if self.entries is None:
-            v = np.asarray(factor, dtype=np.complex128)
-            if v.ndim != 1 or v.size == 0:
-                raise ValueError("a density operator given by its factor alone "
-                                 "needs a non-empty state vector")
-            _require_finite(v, "density operator")
-            if not abs(float(np.linalg.norm(v)) ** 2 - 1.0) < ALGEBRA_TOL:
-                raise ValueError("density operator requires a normalized state vector")
-            object.__setattr__(self, "factor", _frozen_complex(v))
-            return
         arr = np.asarray(self.entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("density operator must be a square matrix")
@@ -318,15 +303,24 @@ class DensityOperator:
             raise ValueError("density operator is not hermitian within tolerance")
         if abs(np.trace(arr).real - 1.0) > ALGEBRA_TOL or abs(np.trace(arr).imag) > ALGEBRA_TOL:
             raise ValueError("density operator trace is not 1 within tolerance")
-        if factor is None:
-            eigenvalues, eigenvectors = np.linalg.eigh((arr + arr.conj().T) / 2.0)
-            if eigenvalues.min() < -SPECTRAL_TOL:
-                raise ValueError(
-                    "density operator has an eigenvalue below the negativity floor")
-            keep = eigenvalues > numerical_rank_cutoff(eigenvalues, len(arr))
-            factor = eigenvectors[:, keep] * np.sqrt(eigenvalues[keep])
+        eigenvalues, eigenvectors = np.linalg.eigh((arr + arr.conj().T) / 2.0)
+        if eigenvalues.min() < -SPECTRAL_TOL:
+            raise ValueError(
+                "density operator has an eigenvalue below the negativity floor")
+        keep = eigenvalues > numerical_rank_cutoff(eigenvalues, len(arr))
+        factor = eigenvectors[:, keep] * np.sqrt(eigenvalues[keep])
         object.__setattr__(self, "entries", _frozen_complex(arr))
         object.__setattr__(self, "factor", _frozen_complex(factor))
+
+    @classmethod
+    def _from_factor(cls, factor: np.ndarray,
+                     operands: tuple | None = None) -> "DensityOperator":
+        # the callers' checks cover the operator (see the class docstring)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "entries", None)
+        object.__setattr__(rho, "factor", factor)
+        object.__setattr__(rho, "_operands", operands)
+        return rho
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
@@ -349,7 +343,9 @@ class DensityOperator:
 
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityOperator":
-        return cls(None, factor=state.amps)
+        if not state.is_normalized():
+            raise ValueError("density operator requires a normalized state vector")
+        return cls._from_factor(state.amps)  # already read-only complex
 
     def tensor(self, other: "DensityOperator") -> "DensityOperator":
         if not isinstance(other, DensityOperator):
@@ -357,13 +353,8 @@ class DensityOperator:
         a, b = self.factor, other.factor
         if a.ndim != b.ndim:  # one side pure: treat its vector as a column
             a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
-        # both operands passed their checks, which cover the product (see the
-        # class docstring), so it bypasses the constructor's
-        product = object.__new__(DensityOperator)
-        object.__setattr__(product, "entries", None)
-        object.__setattr__(product, "factor", _frozen_complex(np.kron(a, b)))
-        object.__setattr__(product, "_operands", (self, other))
-        return product
+        return DensityOperator._from_factor(_frozen_complex(np.kron(a, b)),
+                                            (self, other))
 
 
 @dataclass(frozen=True, eq=False)

@@ -529,13 +529,19 @@ def _node_doc(tree: FrameworkTree, node: BranchNode) -> TreeNodeDocument:
 def import_tree_json(text: str) -> TreeDocument:
     """Parse a JSON tree export back into a document."""
     data = json.loads(text)
-    if data.get("schema") != TREE_SCHEMA_VERSION or data.get("kind") != "framework-tree":
+    if (not isinstance(data, dict) or data.get("schema") != TREE_SCHEMA_VERSION
+            or data.get("kind") != "framework-tree"):
         raise ValueError("not a framework-tree document of a supported schema")
-
-    return TreeDocument(schema=int(data["schema"]), kind=str(data["kind"]),
-                        dim=int(data["dim"]),
-                        times=tuple(float(t) for t in data["times"]),
-                        root=_node_from(data["root"]))
+    try:
+        return TreeDocument(schema=int(data["schema"]), kind=str(data["kind"]),
+                            dim=int(data["dim"]),
+                            times=tuple(float(t) for t in data["times"]),
+                            root=_node_from(data["root"]))
+    except KeyError as missing:
+        raise ValueError(
+            f"framework-tree document lacks the field {missing}") from None
+    except TypeError as wrong:  # a node or list of another JSON type
+        raise ValueError(f"malformed framework-tree document: {wrong}") from None
 
 
 def _node_from(obj: dict) -> TreeNodeDocument:
@@ -568,6 +574,7 @@ def export_tree(tree: FrameworkTree, fmt: str = "dot") -> str:
         node_id = f"n{counter}"
         counter += 1
         name = node.label if node.label is not None else "start"
+        name = name.replace("\\", "\\\\").replace('"', '\\"')
         text = f"{name}\\nt={node.time:g} p={node.probability:.6f}"
         style = ", style=dashed" if node.pruned else ""
         lines.append(f'  {node_id} [label="{text}"{style}];')

@@ -73,6 +73,15 @@ class TestAmplitudes:
             assert min(abs(x) for x in amps.triple) > 0.1
             assert amps.is_strict
 
+    @pytest.mark.parametrize("floor", [0.6, 1.0 / math.sqrt(3.0), -0.1, math.nan])
+    def test_random_refuses_a_floor_no_triple_clears(self, floor):
+        class NoDraws:
+            def standard_normal(self, size):
+                raise AssertionError("drew before checking the floor")
+
+        with pytest.raises(ValueError, match="floor"):
+            HardyAmplitudes.random(NoDraws(), floor=floor)
+
     def test_strictness(self):
         assert EQUAL.is_strict
         weak = HardyAmplitudes(math.sqrt(0.5), 0.0, math.sqrt(0.5))

@@ -634,6 +634,29 @@ class TestExport:
     def test_import_rejects_other_documents(self):
         with pytest.raises(ValueError):
             import_tree_json(json.dumps({"schema": 1, "kind": "other"}))
+        for text in ("[]", "3"):
+            with pytest.raises(ValueError, match="not a framework-tree"):
+                import_tree_json(text)
+        export = export_tree(prune_zero_branches(zx_tree()), "json")
+        for field, strip in (("dim", lambda doc: doc),
+                             ("time", lambda doc: doc["root"]["children"][0]),
+                             ("children", lambda doc: doc["root"])):
+            doc = json.loads(export)
+            del strip(doc)[field]
+            with pytest.raises(ValueError, match=field):
+                import_tree_json(json.dumps(doc))
+        for field, value in (("root", []), ("times", 5)):
+            doc = dict(json.loads(export), **{field: value})
+            with pytest.raises(ValueError, match="malformed"):
+                import_tree_json(json.dumps(doc))
+
+    def test_dot_escapes_labels(self):
+        choice = ClassicalChoice((('say "hi"', 0.5), ("back\\", 0.5)))
+        tree = build_tree(TimeGrid.identity((0.0, 1.0), 2), [choice],
+                          basis_state(2, 0))
+        dot = export_tree(tree, "dot")
+        assert 'label="say \\"hi\\"\\nt=1 p=0.500000"' in dot
+        assert 'label="back\\\\\\nt=1 p=0.500000"' in dot
 
 
 class TestRefcountFreeing:
