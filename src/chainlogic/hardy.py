@@ -79,7 +79,6 @@ R_SETTINGS = ("MR1", "MR2")
 OUTCOME_SIGNS = ("+", "-")
 
 REGISTER_LABELS = ("ready1", "ready2", "p1+", "p1-", "p2+", "p2-")
-_READY = {1: 0, 2: 1}
 _POINTER = {(1, "+"): 2, (1, "-"): 3, (2, "+"): 4, (2, "-"): 5}
 
 
@@ -276,42 +275,68 @@ def hardy_settings(amplitudes: HardyAmplitudes) -> tuple[MeasurementSetting, ...
     )
 
 
+# One side's qubit x register space as (qubit, register), flat index 6q + r.
+# Setting columns (1, +), (1, -), (2, +), (2, -): the ready state each starts
+# in, the pointer it ends in, and the column of its partner outcome.
+_COLUMNS = np.arange(4)
+_START = np.array([0, 0, 1, 1])
+_END = np.array([_POINTER[(k, sign)] for k in (1, 2) for sign in OUTCOME_SIGNS])
+_PARTNER = np.array([1, 0, 3, 2])
+# C^2 x span{p1+, p1-, p2+, p2-}, as flat indices: a_perp for every setting
+_POINTER_COLUMNS = np.array([6 * q + r for q in range(2) for r in range(2, 6)])
+# b_perp's last four columns, C^2 x span{ready1, ready2}; its first four are
+# the partner outcomes
+_READY_SECTOR = np.zeros((2, 6, 8), dtype=np.complex128)
+_READY_SECTOR[[0, 0, 1, 1], [0, 1, 0, 1], [4, 5, 6, 7]] = 1.0
+_READY_SECTOR.setflags(write=False)
+
+
 def measurement_unitary(setting1: MeasurementSetting,
                         setting2: MeasurementSetting,
                         completion_seed: int | None = None) -> np.ndarray:
     """12x12 unitary on qubit x register for one side.
 
     Maps |outcome of setting k> |ready_k> to the same qubit state with the
-    register moved to the matching pointer, for k in {1, 2}.  The action on
-    the orthogonal complement is an arbitrary completion; ``completion_seed``
-    selects a different one (reachable amplitudes never depend on it because
-    the register starts inside span{ready1, ready2}).
+    register moved to the matching pointer, for k in {1, 2}: with the four
+    such columns in a (inputs) and b (outputs), U = b a^H + b_perp M a_perp^H.
+    Both complements are exact.  span(a) is C^2 x span{ready1, ready2} for
+    every setting pair, so a_perp is the constant C^2 x span{p1+, p1-, p2+,
+    p2-}; b_perp is the partner outcome at each pointer (k, sign) together
+    with C^2 x span{ready1, ready2}.  M is the identity, or with
+    ``completion_seed`` a seeded random unitary.  a_perp has no entry in the
+    ready sector, so the columns on it, the only ones a register that starts
+    there reaches, are exactly b a^H: no seed changes a reachable amplitude,
+    bit for bit.
     """
-    reg = identity(6)
-    columns_in, columns_out = [], []
-    for k, setting in ((1, setting1), (2, setting2)):
-        for sign in OUTCOME_SIGNS:
-            qubit = setting.vector(sign)
-            # outer(...).ravel() is kron of two vectors, entry for entry
-            columns_in.append(np.outer(qubit, reg[_READY[k]]).ravel())
-            columns_out.append(np.outer(qubit, reg[_POINTER[(k, sign)]]).ravel())
-    a = np.column_stack(columns_in)
-    b = np.column_stack(columns_out)
-    a_perp = np.linalg.svd(a, full_matrices=True)[0][:, 4:]
-    b_perp = np.linalg.svd(b, full_matrices=True)[0][:, 4:]
-    if completion_seed is None:
-        mix = identity(8)
-    else:
-        rng = np.random.default_rng(completion_seed)
-        z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        q, r = np.linalg.qr(z)
-        mix = q @ np.diag(r.diagonal() / np.abs(r.diagonal()))
-    u = b @ a.conj().T + b_perp @ mix @ a_perp.conj().T
+    outcomes = np.array([setting1.plus, setting1.minus,
+                         setting2.plus, setting2.minus]).T  # (qubit, column)
+    a, b = np.zeros((2, 2, 6, 4), dtype=np.complex128)
+    a[:, _START, _COLUMNS] = outcomes
+    b[:, _END, _COLUMNS] = outcomes
+    u = b.reshape(12, 4) @ a.reshape(12, 4).conj().T
+    b_perp = _READY_SECTOR.copy()
+    b_perp[:, _END, _COLUMNS] = outcomes[:, _PARTNER]
+    b_perp = b_perp.reshape(12, 8)
+    # a_perp^H selects the pointer columns, where b a^H is zero
+    u[:, _POINTER_COLUMNS] = (b_perp if completion_seed is None
+                              else b_perp @ _completion_mix(completion_seed))
     defect = unitarity_defect(u)
     if not defect <= ALGEBRA_TOL:
         raise NumericalFaultError(
             f"measurement unitary failed unitarity by {defect:.3e}")
     return u
+
+
+@functools.lru_cache(maxsize=8)
+def _completion_mix(seed: int) -> np.ndarray:
+    """The seeded 8x8 unitary, read-only: one draw serves both sides of a
+    build; the memo is bounded, since a sweep may use a fresh seed per build."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    q, r = np.linalg.qr(z)
+    mix = q @ np.diag(r.diagonal() / np.abs(r.diagonal()))
+    mix.setflags(write=False)
+    return mix
 
 
 ChoiceWeights = tuple[tuple[float, float], tuple[float, float]]
@@ -363,6 +388,8 @@ def _qubit_projector(setting: MeasurementSetting, sign: str) -> Projector:
 
 _APPARATUS_DIMS = (2, 2, 6, 6)  # qubit L, qubit R, register L, register R
 _SETTING_NUMBER = {"ML1": 1, "ML2": 2, "MR1": 1, "MR2": 2}
+# the time steps where neither side measures
+_UNMOVED = LocalUnitary(identity(1), _APPARATUS_DIMS, ())
 
 
 @functools.cache
@@ -460,9 +487,8 @@ def build_measurement_scenario(
         else:
             rho = pair_state.tensor(DensityOperator.from_state(
                 StateVector(np.kron(chi_l, chi_r))))
-        unmoved = LocalUnitary(identity(1), _APPARATUS_DIMS, ())
-        grid = TimeGrid(times, (unmoved, LocalUnitary(u_l, _APPARATUS_DIMS, (0, 2)),
-                                unmoved, LocalUnitary(u_r, _APPARATUS_DIMS, (1, 3))))
+        grid = TimeGrid(times, (_UNMOVED, LocalUnitary(u_l, _APPARATUS_DIMS, (0, 2)),
+                                _UNMOVED, LocalUnitary(u_r, _APPARATUS_DIMS, (1, 3))))
         schedule = _schedule(
             setting_tuple,
             [("ML1", _register_projector("L", 0)), ("ML2", _register_projector("L", 1))],

@@ -147,6 +147,21 @@ class BranchNode:
     state: np.ndarray = field(repr=False)
     ket: np.ndarray = field(repr=False)
 
+    @classmethod
+    def _made(cls, time_index: int, label: str | None,
+              projector: Projector | None, weight: float, path: BranchPath,
+              prob: float, children: tuple["BranchNode", ...],
+              state: np.ndarray, ket: np.ndarray) -> "BranchNode":
+        # how build_tree and prune_zero_branches make every node: their
+        # fields need no conversion, so they go into the instance dict in one
+        # update, not through the frozen dataclass's nine object.__setattr__
+        node = object.__new__(cls)
+        node.__dict__.update(
+            time_index=time_index, label=label, projector=projector,
+            weight=weight, path=path, prob=prob, children=children,
+            state=state, ket=ket)
+        return node
+
     @property
     def is_choice(self) -> bool:
         return self.label is not None and self.projector is None
@@ -300,9 +315,8 @@ def _grow(grid: TimeGrid, schedule: Sequence[LayerLike],
                 f"schedule members at time index {time_index + 1} leave "
                 f"probability {residual:.3e} unaccounted on branch {path!r}")
     # a member is (label, projector, weight), BranchNode's fields in order
-    node = grown[path] = BranchNode(
-        time_index, *member, path=path, prob=prob, children=tuple(children),
-        state=state, ket=ket)
+    node = grown[path] = BranchNode._made(
+        time_index, *member, path, prob, tuple(children), state, ket)
     return node
 
 
@@ -311,7 +325,10 @@ def prune_zero_branches(tree: FrameworkTree,
     """Remove every branch whose weight falls below ``tol``.
 
     Surviving probabilities are untouched (no renormalization); removed
-    branch paths are recorded with their weights.  Idempotent.
+    branch paths are recorded with their weights.  Idempotent.  Only the
+    ancestors of a removed branch are made anew: the pruned tree shares
+    every other node, subtree and all, with ``tree``, so a tree with nothing
+    to prune keeps its root.
     """
     removed: list[PrunedBranch] = []
     root = _rebuild(tree.root, tol, removed)
@@ -324,20 +341,22 @@ def prune_zero_branches(tree: FrameworkTree,
 def _rebuild(node: BranchNode, tol: float,
              removed: list[PrunedBranch]) -> BranchNode | None:
     """``node`` without its sub-``tol`` branches, or None when it goes too;
-    removed paths are appended to ``removed`` in pre-order."""
+    removed paths are appended to ``removed`` in pre-order.  A node with
+    nothing removed below it comes back as itself, subtree and all."""
     if node.label is not None and node.prob < tol:
         removed.append(PrunedBranch(path=node.path, weight=node.prob))
         return None
-    kept = tuple(c for c in (_rebuild(child, tol, removed)
-                             for child in node.children) if c is not None)
-    if node.children and not kept and node.label is not None:
+    rebuilt = [_rebuild(child, tol, removed) for child in node.children]
+    if all(new is old for new, old in zip(rebuilt, node.children)):
+        return node
+    kept = tuple(c for c in rebuilt if c is not None)
+    if not kept and node.label is not None:
         # all continuations vanished; the branch itself is unreachable
         removed.append(PrunedBranch(path=node.path, weight=node.prob))
         return None
-    return BranchNode(time_index=node.time_index, label=node.label,
-                      projector=node.projector, weight=node.weight,
-                      path=node.path, prob=node.prob, children=kept,
-                      state=node.state, ket=node.ket)
+    return BranchNode._made(node.time_index, node.label, node.projector,
+                            node.weight, node.path, node.prob, kept,
+                            node.state, node.ket)
 
 
 def _leaf_chains(tree: FrameworkTree) -> list[tuple[BranchNode, ...]]:

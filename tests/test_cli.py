@@ -481,6 +481,24 @@ class TestJsonReports:
         assert doc["kind"] == "framework-tree"
         assert doc["dim"] == 4
 
+    @pytest.mark.parametrize("argv", [
+        ("hardy", "--json"),
+        ("counterfactual", "--both", "--json"),
+        ("export", "--format", "json"),
+    ])
+    def test_apparatus_reports_do_not_depend_on_completion_seed(
+            self, capsys, write_config, argv):
+        # the seed completes the measurement unitary only where no register
+        # that starts ready ever goes, so every report is the same text
+        config = json.loads((ROOT / "configs" / "equal_apparatus.json").read_text())
+        outputs = set()
+        for seed in (None, 0, 7, 2026):
+            path = write_config({**config, "completion_seed": seed})
+            code, out, _ = run_cli(capsys, *argv, "--config", path)
+            assert code == EXIT_OK
+            outputs.add(out)
+        assert len(outputs) == 1
+
 
 class TestHumanOutput:
     def test_counterfactual_both(self, capsys, particle_config):

@@ -188,6 +188,25 @@ class TestPruning:
         assert [l.path for l in twice.leaves()] == [l.path for l in once.leaves()]
         assert twice.pruned == once.pruned
 
+    def test_pruned_tree_shares_every_untouched_node(self):
+        scenario = build_measurement_scenario(HardyAmplitudes.equal(),
+                                              mode="apparatus")
+        removed = [p.path for p in scenario.tree.pruned]
+        made = 0
+        for node in all_nodes(scenario.tree):
+            touched = any(path[:len(node.path)] == node.path for path in removed)
+            assert (node is scenario.unpruned_tree.grown[node.path]) is not touched
+            made += touched
+        # the three pruned leaves have nine ancestors, the root included
+        assert len(removed) == 3 and made == 9
+
+    def test_nothing_to_prune_keeps_the_root(self):
+        once = prune_zero_branches(zx_tree())
+        assert prune_zero_branches(once).root is once.root
+        grid = TimeGrid.identity((0.0, 1.0), 2)
+        full = build_tree(grid, [x_layer()], basis_state(2, 0))
+        assert prune_zero_branches(full).root is full.root
+
     def test_no_renormalization(self):
         grid = TimeGrid.identity((0.0, 1.0), 2)
         schedule = [ClassicalChoice((("a", 0.7), ("b", 0.3)))]
