@@ -327,10 +327,10 @@ def measurement_unitary(setting1: MeasurementSetting,
     return u
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _completion_mix(seed: int) -> np.ndarray:
-    """The seeded 8x8 unitary, read-only: one draw serves both sides of a
-    build; the memo is bounded, since a sweep may use a fresh seed per build."""
+    """The seeded 8x8 unitary, read-only.  The two sides of one build ask
+    for the same seed back to back, so one entry lets them share a draw."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     q, r = np.linalg.qr(z)

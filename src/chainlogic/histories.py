@@ -201,12 +201,10 @@ def decomposition_at(t: int, events: Iterable[tuple[str, Projector]]
     ``ValueError`` unless they are pairwise (numerically) equal or orthogonal.
     Each projector copies what it is built from, so two projectors share no
     array and object identity is the identity of their entries."""
-    # keyed on id(): each value holds its projector, so no id is reused
-    by_id: dict[int, tuple[str, Projector]] = {}
+    distinct: list[tuple[str, Projector]] = []
     for label, proj in events:
-        if id(proj) not in by_id:
-            by_id[id(proj)] = (label, proj)
-    distinct = list(by_id.values())
+        if not any(p is proj for _, p in distinct):
+            distinct.append((label, proj))
     for i, (label_a, a) in enumerate(distinct):
         for label_b, b in distinct[i + 1:]:
             difference, cross = pair_defects(a, b)

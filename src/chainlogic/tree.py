@@ -147,21 +147,6 @@ class BranchNode:
     state: np.ndarray = field(repr=False)
     ket: np.ndarray = field(repr=False)
 
-    @classmethod
-    def _made(cls, time_index: int, label: str | None,
-              projector: Projector | None, weight: float, path: BranchPath,
-              prob: float, children: tuple["BranchNode", ...],
-              state: np.ndarray, ket: np.ndarray) -> "BranchNode":
-        # how build_tree and prune_zero_branches make every node: their
-        # fields need no conversion, so they go into the instance dict in one
-        # update, not through the frozen dataclass's nine object.__setattr__
-        node = object.__new__(cls)
-        node.__dict__.update(
-            time_index=time_index, label=label, projector=projector,
-            weight=weight, path=path, prob=prob, children=children,
-            state=state, ket=ket)
-        return node
-
     @property
     def is_choice(self) -> bool:
         return self.label is not None and self.projector is None
@@ -315,8 +300,9 @@ def _grow(grid: TimeGrid, schedule: Sequence[LayerLike],
                 f"schedule members at time index {time_index + 1} leave "
                 f"probability {residual:.3e} unaccounted on branch {path!r}")
     # a member is (label, projector, weight), BranchNode's fields in order
-    node = grown[path] = BranchNode._made(
-        time_index, *member, path, prob, tuple(children), state, ket)
+    node = grown[path] = BranchNode(
+        time_index, *member, path=path, prob=prob, children=tuple(children),
+        state=state, ket=ket)
     return node
 
 
@@ -354,9 +340,10 @@ def _rebuild(node: BranchNode, tol: float,
         # all continuations vanished; the branch itself is unreachable
         removed.append(PrunedBranch(path=node.path, weight=node.prob))
         return None
-    return BranchNode._made(node.time_index, node.label, node.projector,
-                            node.weight, node.path, node.prob, kept,
-                            node.state, node.ket)
+    return BranchNode(time_index=node.time_index, label=node.label,
+                      projector=node.projector, weight=node.weight,
+                      path=node.path, prob=node.prob, children=kept,
+                      state=node.state, ket=node.ket)
 
 
 def _leaf_chains(tree: FrameworkTree) -> list[tuple[BranchNode, ...]]:
