@@ -253,9 +253,32 @@ class MeasurementSetting:
             return self.minus
         raise ValueError(f"unknown outcome sign {sign!r}")
 
+    @functools.cached_property
+    def _qubit_projectors(self) -> dict[str, Projector]:
+        """Each outcome's projector on the pair, P (x) I for a left setting
+        and I (x) P for a right one, made once per setting.  The broadcast
+        multiply forms the products np.kron forms, bit for bit."""
+        projectors = {}
+        for sign in OUTCOME_SIGNS:
+            p = outer(self.vector(sign))
+            if self.side == "L":
+                product = p[:, None, :, None] * _I2[None, :, None, :]
+            else:
+                product = _I2[:, None, :, None] * p[None, :, None, :]
+            projectors[sign] = Projector(product.reshape(4, 4))
+        return projectors
+
+
+_I2 = identity(2)
+_I2.setflags(write=False)
+# the computational-basis settings, the same for every triple
+ML1 = MeasurementSetting(side="L", name="ML1", plus=_I2[0], minus=_I2[1])
+MR1 = MeasurementSetting(side="R", name="MR1", plus=_I2[1], minus=_I2[0])
+
 
 def hardy_settings(amplitudes: HardyAmplitudes) -> tuple[MeasurementSetting, ...]:
-    """The four settings (ML1, ML2, MR1, MR2) for this triple.
+    """The four settings (ML1, ML2, MR1, MR2) for this triple; ML1 and MR1
+    are the shared module constants.
 
     Outcome conventions follow the module docstring: MR1+ registers |1>,
     MR2+ registers the normalized a|0> + b|1> (so MR2- is its orthogonal
@@ -263,13 +286,11 @@ def hardy_settings(amplitudes: HardyAmplitudes) -> tuple[MeasurementSetting, ...
     (ML2).
     """
     bases = derive_hardy_bases(amplitudes, require_strict=False)
-    z0 = np.array([1.0, 0.0], dtype=np.complex128)
-    z1 = np.array([0.0, 1.0], dtype=np.complex128)
     return (
-        MeasurementSetting(side="L", name="ML1", plus=z0, minus=z1),
+        ML1,
         MeasurementSetting(side="L", name="ML2", plus=bases.d1_plus,
                            minus=bases.d1_minus),
-        MeasurementSetting(side="R", name="MR1", plus=z1, minus=z0),
+        MR1,
         MeasurementSetting(side="R", name="MR2", plus=bases.d2_minus,
                            minus=bases.d2_plus),
     )
@@ -380,16 +401,16 @@ def _validate_choice_weights(weights: ChoiceWeights) -> list[ClassicalChoice]:
 
 
 def _qubit_projector(setting: MeasurementSetting, sign: str) -> Projector:
-    p = outer(setting.vector(sign))
-    if setting.side == "L":
-        return Projector(np.kron(p, identity(2)))
-    return Projector(np.kron(identity(2), p))
+    return setting._qubit_projectors[sign]
 
 
 _APPARATUS_DIMS = (2, 2, 6, 6)  # qubit L, qubit R, register L, register R
 _SETTING_NUMBER = {"ML1": 1, "ML2": 2, "MR1": 1, "MR2": 2}
 # the time steps where neither side measures
 _UNMOVED = LocalUnitary(identity(1), _APPARATUS_DIMS, ())
+_TIMES = (0.0, 1.0, 2.0, 3.0, 4.0)
+# particle mode evolves nothing between its times
+_PARTICLE_GRID = TimeGrid.identity(_TIMES, 4)
 
 
 @functools.cache
@@ -463,9 +484,8 @@ def build_measurement_scenario(
     if pair_dim != 4:
         raise ConfigError("the pair state must be 4-dimensional")
 
-    times = (0.0, 1.0, 2.0, 3.0, 4.0)
     if mode == "particle":
-        grid = TimeGrid.identity(times, 4)
+        grid = _PARTICLE_GRID
         schedule = _schedule(setting_tuple, *choices, _qubit_projector)
         rho: StateVector | DensityOperator = pair_state
     else:
@@ -487,8 +507,9 @@ def build_measurement_scenario(
         else:
             rho = pair_state.tensor(DensityOperator.from_state(
                 StateVector(np.kron(chi_l, chi_r))))
-        grid = TimeGrid(times, (_UNMOVED, LocalUnitary(u_l, _APPARATUS_DIMS, (0, 2)),
-                                _UNMOVED, LocalUnitary(u_r, _APPARATUS_DIMS, (1, 3))))
+        grid = TimeGrid(_TIMES, (
+            _UNMOVED, LocalUnitary(u_l, _APPARATUS_DIMS, (0, 2)),
+            _UNMOVED, LocalUnitary(u_r, _APPARATUS_DIMS, (1, 3))))
         schedule = _schedule(
             setting_tuple,
             [("ML1", _register_projector("L", 0)), ("ML2", _register_projector("L", 1))],

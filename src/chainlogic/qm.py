@@ -562,11 +562,11 @@ class LocalUnitary:
     def __repr__(self) -> str:
         return f"LocalUnitary(dims={self.dims}, sites={self.sites})"
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         return int(np.prod(self.dims))
 
-    @property
+    @functools.cached_property
     def is_identity(self) -> bool:
         """True when ``op`` is exactly the identity, entry for entry."""
         return bool(np.array_equal(self.op, identity(len(self.op))))

@@ -172,6 +172,31 @@ class TestSettings:
             hardy_module.MeasurementSetting(side="L", name="ML2",
                                             plus=[np.nan, 0.0], minus=ml2.minus)
 
+    def test_qubit_projectors_are_the_kron_products(self):
+        # P (x) I and I (x) P by broadcasting: the same bytes np.kron gives
+        rng = np.random.default_rng(4021)
+        for _ in range(200):
+            for setting in hardy_settings(HardyAmplitudes.random(rng)):
+                for sign in OUTCOME_SIGNS:
+                    p = outer(setting.vector(sign))
+                    expected = (np.kron(p, qm.identity(2)) if setting.side == "L"
+                                else np.kron(qm.identity(2), p))
+                    got = hardy_module._qubit_projector(setting, sign).matrix
+                    assert got.tobytes() == expected.tobytes()
+
+    def test_computational_settings_and_particle_grid_are_shared(self):
+        first, second = (build_measurement_scenario(amps, mode="particle")
+                         for amps in (EQUAL, HardyAmplitudes.equal_tail(0.3)))
+        for index in (0, 2):  # ML1, MR1
+            assert first.settings[index] is second.settings[index]
+        assert first.settings[1] is not second.settings[1]
+        assert first.grid is second.grid
+        ml1 = first.settings[0]
+        with pytest.raises(ValueError, match="read-only"):
+            ml1.plus[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            hardy_module._qubit_projector(ml1, "+").entries[0, 0] = 0.0
+
 
 class TestMeasurementUnitary:
     def test_unitary_and_pointer_mapping(self):
@@ -413,11 +438,18 @@ class TestSchedule:
             return compute(p, q)
 
         monkeypatch.setattr(qm, "_compute_pair_defects", spy)
-        scenario = build_measurement_scenario(EQUAL, mode="particle")
-        # eight outcome events, plus the identity tree_consistency puts at
-        # the choice times; one (+, -) pair check per setting
-        assert len(made["projector"]) == 9
-        assert len(made["pair"]) == 4
+        # the first build makes whatever the process has not made yet; the
+        # second makes only what its amplitudes change
+        build_measurement_scenario(EQUAL, mode="particle")
+        for events in made.values():
+            events.clear()
+        scenario = build_measurement_scenario(HardyAmplitudes.equal_tail(0.3),
+                                              mode="particle")
+        # the four ML2 and MR2 outcome events, plus the identity
+        # tree_consistency puts at the choice times; one (+, -) pair check
+        # per new setting.  ML1 and MR1 are shared constants.
+        assert len(made["projector"]) == 5
+        assert len(made["pair"]) == 2
         assert len(made["choice"]) == 2
         # a left setting opens one outcome layer, a right setting one per
         # left (setting, outcome) branch
