@@ -32,11 +32,22 @@ COMMANDS = {
     "export_dot": (("export", "--format", "dot"), "export.dot"),
     "hardy_text": (("hardy",), "hardy.txt"),
     "counterfactual_text": (("counterfactual", "--both"), "counterfactual.txt"),
+    "consistency_text": (("consistency",), "consistency.txt"),
+    "counterfactual_ml1": (("counterfactual", "--setting", "ML1", "--json"),
+                           "counterfactual_ml1.json"),
+    "counterfactual_ml1_text": (("counterfactual", "--setting", "ML1"),
+                                "counterfactual_ml1.txt"),
+    "counterfactual_ml2": (("counterfactual", "--setting", "ML2", "--json"),
+                           "counterfactual_ml2.json"),
+    "counterfactual_ml2_text": (("counterfactual", "--setting", "ML2"),
+                                "counterfactual_ml2.txt"),
 }
 # test id -> (argv, golden file name, expected exit code)
 STANDALONE = {
     "demo_xzx.consistency": (("consistency", "--demo", "xzx", "--json"),
                              "demo_xzx.consistency.json", EXIT_INCONSISTENT),
+    "demo_xzx.consistency_text": (("consistency", "--demo", "xzx"),
+                                  "demo_xzx.consistency.txt", EXIT_INCONSISTENT),
     "symmetric_outer.sweep": (("sweep", "--family", "symmetric_outer",
                                "--format", "json"),
                               "symmetric_outer.sweep.json", EXIT_OK),
@@ -49,9 +60,18 @@ STANDALONE = {
     "particle.maximize_s4_text": (("sweep", "--maximize-s4", "--format",
                                    "text"),
                                   "particle.maximize_s4.txt", EXIT_OK),
+    "particle.maximize_s4_csv": (("sweep", "--maximize-s4", "--format", "csv"),
+                                 "particle.maximize_s4.csv", EXIT_OK),
     "apparatus.maximize_s4": (("sweep", "--maximize-s4", "--mode", "apparatus",
                                "--format", "json"),
                               "apparatus.maximize_s4.json", EXIT_OK),
+    "symmetric_outer.apparatus_sweep": (("sweep", "--mode", "apparatus",
+                                         "--format", "json"),
+                                        "symmetric_outer.apparatus_sweep.json",
+                                        EXIT_OK),
+    "symmetric_outer.apparatus_sweep_text": (("sweep", "--mode", "apparatus"),
+                                             "symmetric_outer.apparatus_sweep.txt",
+                                             EXIT_OK),
 }
 
 
