@@ -19,7 +19,9 @@ Exit codes:
 The environment variable CHAINLOGIC_TOL, when set, overrides the config's
 consistency tolerance and is read like it: a float in [1e-14, 1).
 JSON output is deterministic: keys are sorted and floats are emitted at full
-precision, so identical runs produce byte-identical reports.
+precision, so identical runs produce byte-identical reports.  Each subcommand
+builds one report, the JSON that report.schema.json describes; text and CSV
+are rendered from that report alone, so they cannot disagree with --json.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -56,7 +57,6 @@ from .hardy import (
     HardyAmplitudes,
     HardyScenario,
     NoSignalingReport,
-    PredictionReport,
     _validate_choice_weights,
     build_measurement_scenario,
     joint_probability_table,
@@ -73,7 +73,7 @@ from .sweep import (
     maximize_s4,
     parameter_sweep,
 )
-from .tree import FrameworkTree, TreeConsistencyReport, build_tree, export_tree, tree_consistency
+from .tree import FrameworkTree, build_tree, export_tree, tree_consistency
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 2
@@ -255,19 +255,20 @@ def _scenario_from(config: RunConfig) -> HardyScenario:
         completion_seed=config.completion_seed)
 
 
-# -- serialization helpers ----------------------------------------------------
+# -- report builders ----------------------------------------------------------
 
 
 def _envelope(kind: str, payload: dict) -> dict:
     return {"schema": REPORT_SCHEMA_VERSION, "kind": kind, **payload}
 
 
-def _emit(obj: dict) -> int:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-    return EXIT_OK
+def _scenario_report(kind: str, scenario: HardyScenario, payload: dict) -> dict:
+    return _envelope(kind, {"mode": scenario.mode, "dim": scenario.dim,
+                            "amplitudes": _amps_json(scenario.amplitudes),
+                            **payload})
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(text: str, out: str | None = None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -278,43 +279,6 @@ def _amps_json(amplitudes: HardyAmplitudes | None):
     if amplitudes is None:
         return None
     return [[x.real, x.imag] for x in amplitudes.triple]
-
-
-def _consistency_json(report: TreeConsistencyReport, *, source: str,
-                      dim: int, mode: str | None) -> dict:
-    worst = None
-    if report.worst is not None:
-        block, g, k, magnitude = report.worst
-        worst = {"magnitude": magnitude, "choice_assignment": list(block),
-                 "indices": [g, k]}
-        if report.worst_paths is not None:
-            worst["paths"] = [list(p) for p in report.worst_paths]
-    blocks = []
-    for key, block_report in report.blocks:
-        blocks.append({
-            "choice_assignment": list(key),
-            "histories": int(block_report.matrix.shape[0]),
-            "consistent": block_report.consistent,
-            "worst_offdiagonal": (None if block_report.worst_offdiagonal is None
-                                  else block_report.worst_offdiagonal[2]),
-        })
-    return _envelope("consistency-report", {
-        "source": source,
-        "mode": mode,
-        "dim": dim,
-        "tolerance": report.tol,
-        "consistent": report.consistent,
-        "verdict": report.verdict,
-        "worst": worst,
-        "blocks": blocks,
-    })
-
-
-def _predictions_json(report: PredictionReport) -> dict:
-    return {"s1": report.s1, "s2": report.s2, "s3": report.s3, "s4": report.s4,
-            "tol": report.tol, "zeros_pass": report.zeros_pass,
-            "s4_pass": report.s4_pass, "is_hardy": report.is_hardy,
-            "flag": report.flag}
 
 
 def _no_signaling_json(report: NoSignalingReport) -> dict:
@@ -343,25 +307,133 @@ def _sweep_json(result: SweepRow | S4Maximum) -> dict:
     return {**asdict(result), "amplitudes": _amps_json(result.amplitudes)}
 
 
-def _fmt_verdict(verdict: CounterfactualVerdict) -> str:
-    if verdict.kind == "necessary":
-        return f"necessary({verdict.outcome})"
-    return verdict.kind
+# -- renderers: text and CSV from a report dict alone -------------------------
 
 
-def _print_verdict(setting: str, verdict: CounterfactualVerdict) -> None:
-    print(f"left setting {setting}: had the right side measured MR2 "
-          "(actual record: MR1 with outcome MR1+)")
-    print(f"  verdict: {_fmt_verdict(verdict)}")
-    print(f"  premise probability: {verdict.premise_probability:.6f}")
-    for pivot in verdict.pivots:
+def _verdict_name(kind: str, outcome: str | None) -> str:
+    return f"necessary({outcome})" if kind == "necessary" else kind
+
+
+def _verdict_lines(setting: str, verdict: dict) -> list[str]:
+    lines = [f"left setting {setting}: had the right side measured MR2 "
+             "(actual record: MR1 with outcome MR1+)",
+             f"  verdict: {_verdict_name(verdict['kind'], verdict['outcome'])}",
+             f"  premise probability: {verdict['premise_probability']:.6f}"]
+    for pivot in verdict["pivots"]:
         outcomes = "  ".join(f"{label} {p:.6f}"
-                             for label, p in sorted(pivot.outcomes.items()))
-        print(f"  pivot {' / '.join(pivot.path)}   "
-              f"posterior {pivot.posterior:.6f}")
-        print(f"    {outcomes}")
-    if verdict.impossible_outcomes:
-        print(f"  impossible: {', '.join(verdict.impossible_outcomes)}")
+                             for label, p in sorted(pivot["outcomes"].items()))
+        lines += [f"  pivot {' / '.join(pivot['path'])}   "
+                  f"posterior {pivot['posterior']:.6f}", f"    {outcomes}"]
+    if verdict["impossible_outcomes"]:
+        lines.append(f"  impossible: {', '.join(verdict['impossible_outcomes'])}")
+    return lines
+
+
+def _no_signaling_line(report: dict) -> str:
+    signaling = report["no_signaling"]
+    return (f"no-signaling: max marginal discrepancy "
+            f"{signaling['max_discrepancy']:.6e} "
+            f"({'ok' if signaling['passes'] else 'VIOLATED'})")
+
+
+def _consistency_text(report: dict) -> list[str]:
+    mode, worst = report["mode"], report["worst"]
+    histories = sum(block["histories"] for block in report["blocks"])
+    lines = [f"source: {report['source']}" + (f" ({mode} mode)" if mode else ""),
+             f"dim: {report['dim']}   histories: {histories}   "
+             f"blocks: {len(report['blocks'])}",
+             f"tolerance: {report['tolerance']:.6e}",
+             f"verdict: {report['verdict']}"]
+    if worst is not None:
+        lines.append(f"worst off-diagonal: {worst['magnitude']:.6e}")
+        if not report["consistent"] and "paths" in worst:
+            first, second = worst["paths"]
+            lines += [f"  between: {' / '.join(first)}",
+                      f"  and:     {' / '.join(second)}"]
+    return lines
+
+
+def _hardy_text(report: dict) -> list[str]:
+    predictions = report["predictions"]
+    lines = [f"scenario: {report['mode']} mode, dim {report['dim']}"]
+    if report["amplitudes"] is not None:
+        lines.append("amplitudes: " + " ".join(
+            f"{name}={re:.6f}{im:+.6f}j"
+            for name, (re, im) in zip("abc", report["amplitudes"])))
+    flag = predictions["flag"]
+    return lines + [
+        "joint outcome probabilities, conditional on the settings:",
+        f"  P(ML1- and MR1+ | ML1, MR1) = {predictions['s1']:.6e}",
+        f"  P(ML1+ and MR2- | ML1, MR2) = {predictions['s2']:.6e}",
+        f"  P(ML2+ and MR1- | ML2, MR1) = {predictions['s3']:.6e}",
+        f"  P(ML2+ and MR2- | ML2, MR2) = {predictions['s4']:.6f}",
+        "state pattern: "
+        + ("confirmed" if predictions["is_hardy"] else "FAILED")
+        + (f" ({flag})" if flag else ""),
+        _no_signaling_line(report)]
+
+
+def _locality_text(report: dict) -> list[str]:
+    return [*_verdict_lines("ML1", report["ml1"]), "",
+            *_verdict_lines("ML2", report["ml2"]), "",
+            _no_signaling_line(report),
+            "verdict flips with the distant setting while marginals stay put: "
+            + ("demonstrated" if report["demonstrated"] else "NOT demonstrated")]
+
+
+def _sweep_text(report: dict) -> list[str]:
+    lines = [f"{'parameter':>10}  {'s4':>10}  {'P(MR2+|ML2+)':>13}  "
+             f"{'P(MR2-|ML2+)':>13}  {'ML1 verdict':<17}  {'ML2 verdict':<10}"]
+    for row in report["rows"]:
+        ml1 = _verdict_name(row["verdict_ml1_kind"], row["verdict_ml1_outcome"])
+        lines.append(
+            f"{row['parameter']:>10.6f}  {row['s4']:>10.6f}  "
+            f"{row['p_mr2_plus_given_ml2_plus']:>13.6e}  "
+            f"{row['p_mr2_minus_given_ml2_plus']:>13.6e}  "
+            f"{ml1:<17}  {row['verdict_ml2_kind']:<10}")
+    return lines
+
+
+def _maximum_text(report: dict) -> list[str]:
+    return [f"family: {report['family']}",
+            f"maximum P(ML2+ and MR2- | ML2, MR2) = {report['s4']:.6f} "
+            f"at parameter {report['parameter']:.6f}",
+            f"({report['evaluations']} scenario evaluations)"]
+
+
+# the lines of text of each report kind
+_TEXT = {
+    "consistency-report": _consistency_text,
+    "hardy-report": _hardy_text,
+    "counterfactual-report":
+        lambda report: _verdict_lines(report["setting"], report["verdict"]),
+    "locality-report": _locality_text,
+    "sweep-report": _sweep_text,
+    "s4-maximum": _maximum_text,
+}
+# the CSV columns of each report kind that has a CSV form; a sweep report
+# has one CSV row per sweep row, an s4-maximum is one row itself
+_CSV_COLUMNS = {
+    "sweep-report": ("parameter", "s4", "p_mr2_plus_given_ml2_plus",
+                     "p_mr2_minus_given_ml2_plus", "verdict_ml1_kind",
+                     "verdict_ml1_outcome", "verdict_ml2_kind", "is_hardy"),
+    "s4-maximum": ("family", "parameter", "s4", "evaluations"),
+}
+
+
+def _render(report: dict, fmt: str) -> str:
+    """``report`` as ``fmt``: "json" dumps it; "text" and "csv" read it alone."""
+    if fmt == "json":
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        columns = _CSV_COLUMNS[report["kind"]]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row[column] for column in columns]
+                         for row in report.get("rows", [report]))
+        return buffer.getvalue()
+    return "\n".join(_TEXT[report["kind"]](report)) + "\n"
 
 
 # -- demo family --------------------------------------------------------------
@@ -382,112 +454,84 @@ def _xzx_demo_tree() -> FrameworkTree:
 
 
 # -- subcommand handlers ------------------------------------------------------
+# Each builds its report, writes it rendered, and reads its exit code from it.
 
 
 def _cmd_consistency(args) -> int:
     config = load_config(args.config)
     if args.demo == "xzx":
         tree = _xzx_demo_tree()
-        report = tree_consistency(tree, config.tolerances.consistency)
+        consistency = tree_consistency(tree, config.tolerances.consistency)
         source, mode, dim = "demo:xzx", None, tree.dim
     else:
         scenario = _scenario_from(config)
-        report = scenario.consistency
+        consistency = scenario.consistency
         source, mode, dim = "scenario", scenario.mode, scenario.dim
-    if args.json:
-        _emit(_consistency_json(report, source=source, dim=dim, mode=mode))
-    else:
-        histories = sum(r.matrix.shape[0] for _, r in report.blocks)
-        print(f"source: {source}" + (f" ({mode} mode)" if mode else ""))
-        print(f"dim: {dim}   histories: {histories}   "
-              f"blocks: {len(report.blocks)}")
-        print(f"tolerance: {report.tol:.6e}")
-        print(f"verdict: {report.verdict}")
-        if report.worst is not None:
-            print(f"worst off-diagonal: {report.worst_magnitude:.6e}")
-            if not report.consistent and report.worst_paths is not None:
-                first, second = report.worst_paths
-                print(f"  between: {' / '.join(first)}")
-                print(f"  and:     {' / '.join(second)}")
-    return EXIT_OK if report.consistent else EXIT_INCONSISTENT
+    worst = None
+    if consistency.worst is not None:
+        block, g, k, magnitude = consistency.worst
+        worst = {"magnitude": magnitude, "choice_assignment": list(block),
+                 "indices": [g, k]}
+        if consistency.worst_paths is not None:
+            worst["paths"] = [list(p) for p in consistency.worst_paths]
+    blocks = []
+    for key, block_report in consistency.blocks:
+        blocks.append({
+            "choice_assignment": list(key),
+            "histories": int(block_report.matrix.shape[0]),
+            "consistent": block_report.consistent,
+            "worst_offdiagonal": (None if block_report.worst_offdiagonal is None
+                                  else block_report.worst_offdiagonal[2]),
+        })
+    report = _envelope("consistency-report", {
+        "source": source,
+        "mode": mode,
+        "dim": dim,
+        "tolerance": consistency.tol,
+        "consistent": consistency.consistent,
+        "verdict": consistency.verdict,
+        "worst": worst,
+        "blocks": blocks,
+    })
+    _write_output(_render(report, "json" if args.json else "text"))
+    return EXIT_OK if report["consistent"] else EXIT_INCONSISTENT
 
 
 def _cmd_hardy(args) -> int:
-    config = load_config(args.config)
-    scenario = _scenario_from(config)
+    scenario = _scenario_from(load_config(args.config))
     predictions = verify_hardy_predictions(scenario)
-    signaling = no_signaling_report(scenario)
-    joint = joint_probability_table(scenario)
-    if args.json:
-        _emit(_envelope("hardy-report", {
-            "mode": scenario.mode,
-            "dim": scenario.dim,
-            "amplitudes": _amps_json(scenario.amplitudes),
-            "strict": (None if scenario.amplitudes is None
-                       else scenario.amplitudes.is_strict),
-            "choice_weights": [list(w) for w in scenario.choice_weights],
-            "predictions": _predictions_json(predictions),
-            "no_signaling": _no_signaling_json(signaling),
-            "joint": {",".join(key): value for key, value in joint.items()},
-        }))
-    else:
-        print(f"scenario: {scenario.mode} mode, dim {scenario.dim}")
-        if scenario.amplitudes is not None:
-            a, b, c = scenario.amplitudes.triple
-            print(f"amplitudes: a={a.real:.6f}{a.imag:+.6f}j "
-                  f"b={b.real:.6f}{b.imag:+.6f}j c={c.real:.6f}{c.imag:+.6f}j")
-        print("joint outcome probabilities, conditional on the settings:")
-        print(f"  P(ML1- and MR1+ | ML1, MR1) = {predictions.s1:.6e}")
-        print(f"  P(ML1+ and MR2- | ML1, MR2) = {predictions.s2:.6e}")
-        print(f"  P(ML2+ and MR1- | ML2, MR1) = {predictions.s3:.6e}")
-        print(f"  P(ML2+ and MR2- | ML2, MR2) = {predictions.s4:.6f}")
-        print(f"state pattern: "
-              f"{'confirmed' if predictions.is_hardy else 'FAILED'}"
-              + (f" ({predictions.flag})" if predictions.flag else ""))
-        print(f"no-signaling: max marginal discrepancy "
-              f"{signaling.max_discrepancy:.6e} "
-              f"({'ok' if signaling.passes else 'VIOLATED'})")
-    return EXIT_OK if predictions.is_hardy else EXIT_NOT_HARDY
+    report = _scenario_report("hardy-report", scenario, {
+        "strict": (None if scenario.amplitudes is None
+                   else scenario.amplitudes.is_strict),
+        "choice_weights": [list(w) for w in scenario.choice_weights],
+        "predictions": {
+            "s1": predictions.s1, "s2": predictions.s2, "s3": predictions.s3,
+            "s4": predictions.s4, "tol": predictions.tol,
+            "zeros_pass": predictions.zeros_pass, "s4_pass": predictions.s4_pass,
+            "is_hardy": predictions.is_hardy, "flag": predictions.flag},
+        "no_signaling": _no_signaling_json(no_signaling_report(scenario)),
+        "joint": {",".join(key): value
+                  for key, value in joint_probability_table(scenario).items()},
+    })
+    _write_output(_render(report, "json" if args.json else "text"))
+    return EXIT_OK if report["predictions"]["is_hardy"] else EXIT_NOT_HARDY
 
 
 def _cmd_counterfactual(args) -> int:
-    config = load_config(args.config)
-    scenario = _scenario_from(config)
+    scenario = _scenario_from(load_config(args.config))
     if args.both:
-        report = locality_report(scenario)
-        if args.json:
-            _emit(_envelope("locality-report", {
-                "mode": scenario.mode,
-                "dim": scenario.dim,
-                "amplitudes": _amps_json(scenario.amplitudes),
-                "ml1": _verdict_json(report.verdict_ml1),
-                "ml2": _verdict_json(report.verdict_ml2),
-                "no_signaling": _no_signaling_json(report.no_signaling),
-                "demonstrated": report.demonstrated,
-            }))
-        else:
-            _print_verdict("ML1", report.verdict_ml1)
-            print()
-            _print_verdict("ML2", report.verdict_ml2)
-            print()
-            print(f"no-signaling: max marginal discrepancy "
-                  f"{report.no_signaling.max_discrepancy:.6e} "
-                  f"({'ok' if report.no_signaling.passes else 'VIOLATED'})")
-            print("verdict flips with the distant setting while marginals "
-                  "stay put: "
-                  + ("demonstrated" if report.demonstrated else "NOT demonstrated"))
-        return EXIT_OK
-    verdict = evaluate_switch_counterfactual(scenario, args.setting)
-    if args.json:
-        _emit(_envelope("counterfactual-report", {
-            "mode": scenario.mode,
-            "dim": scenario.dim,
-            "amplitudes": _amps_json(scenario.amplitudes),
-            "setting": args.setting,
-            "verdict": _verdict_json(verdict),
-        }))
+        locality = locality_report(scenario)
+        report = _scenario_report("locality-report", scenario, {
+            "ml1": _verdict_json(locality.verdict_ml1),
+            "ml2": _verdict_json(locality.verdict_ml2),
+            "no_signaling": _no_signaling_json(locality.no_signaling),
+            "demonstrated": locality.demonstrated,
+        })
     else:
-        _print_verdict(args.setting, verdict)
+        verdict = evaluate_switch_counterfactual(scenario, args.setting)
+        report = _scenario_report("counterfactual-report", scenario, {
+            "setting": args.setting, "verdict": _verdict_json(verdict)})
+    _write_output(_render(report, "json" if args.json else "text"))
     return EXIT_OK
 
 
@@ -510,37 +554,6 @@ def _parse_values(raw: str, family: str) -> list[float]:
     return values
 
 
-def _sweep_text(rows: tuple[SweepRow, ...]) -> str:
-    header = (f"{'parameter':>10}  {'s4':>10}  {'P(MR2+|ML2+)':>13}  "
-              f"{'P(MR2-|ML2+)':>13}  {'ML1 verdict':<17}  {'ML2 verdict':<10}")
-    lines = [header]
-    for row in rows:
-        ml1 = (f"necessary({row.verdict_ml1_outcome})"
-               if row.verdict_ml1_kind == "necessary" else row.verdict_ml1_kind)
-        lines.append(
-            f"{row.parameter:>10.6f}  {row.s4:>10.6f}  "
-            f"{row.p_mr2_plus_given_ml2_plus:>13.6e}  "
-            f"{row.p_mr2_minus_given_ml2_plus:>13.6e}  "
-            f"{ml1:<17}  {row.verdict_ml2_kind:<10}")
-    return "\n".join(lines) + "\n"
-
-
-_SWEEP_CSV_COLUMNS = ("parameter", "s4", "p_mr2_plus_given_ml2_plus",
-                      "p_mr2_minus_given_ml2_plus", "verdict_ml1_kind",
-                      "verdict_ml1_outcome", "verdict_ml2_kind", "is_hardy")
-_MAXIMUM_CSV_COLUMNS = ("family", "parameter", "s4", "evaluations")
-
-
-def _sweep_csv(columns: tuple[str, ...],
-               results: Iterable[SweepRow | S4Maximum]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for result in results:
-        writer.writerow([getattr(result, column) for column in columns])
-    return buffer.getvalue()
-
-
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     mode = args.mode or (config.mode if args.config else "particle")
@@ -550,42 +563,22 @@ def _cmd_sweep(args) -> int:
         if args.values is not None:
             raise ConfigError("--values has no effect with --maximize-s4, "
                               "which searches the family's whole range")
-        result = maximize_s4(family=family, mode=mode,
-                             tolerances=config.tolerances)
-        if args.format == "json":
-            text = json.dumps(_envelope("s4-maximum", _sweep_json(result)),
-                              sort_keys=True, indent=2) + "\n"
-        elif args.format == "csv":
-            text = _sweep_csv(_MAXIMUM_CSV_COLUMNS, [result])
-        else:
-            text = (f"family: {result.family}\n"
-                    f"maximum P(ML2+ and MR2- | ML2, MR2) = {result.s4:.6f} "
-                    f"at parameter {result.parameter:.6f}\n"
-                    f"({result.evaluations} scenario evaluations)\n")
-        _write_output(text, args.out)
-        return EXIT_OK
-    values = DEFAULT_SWEEP_VALUES if args.values is None else args.values
-    rows = parameter_sweep(_parse_values(values, family), family=family,
-                           mode=mode, choice_weights=config.choice_weights,
-                           tolerances=config.tolerances)
-    if args.format == "json":
-        obj = _envelope("sweep-report", {
-            "family": family,
-            "mode": mode,
-            "rows": [_sweep_json(row) for row in rows],
-        })
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _sweep_csv(_SWEEP_CSV_COLUMNS, rows)
+        report = _envelope("s4-maximum", _sweep_json(maximize_s4(
+            family=family, mode=mode, tolerances=config.tolerances)))
     else:
-        text = _sweep_text(rows)
-    _write_output(text, args.out)
+        values = DEFAULT_SWEEP_VALUES if args.values is None else args.values
+        rows = parameter_sweep(_parse_values(values, family), family=family,
+                               mode=mode, choice_weights=config.choice_weights,
+                               tolerances=config.tolerances)
+        report = _envelope("sweep-report", {
+            "family": family, "mode": mode,
+            "rows": [_sweep_json(row) for row in rows]})
+    _write_output(_render(report, args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_export(args) -> int:
-    config = load_config(args.config)
-    scenario = _scenario_from(config)
+    scenario = _scenario_from(load_config(args.config))
     tree = scenario.unpruned_tree if args.no_prune else scenario.tree
     _write_output(export_tree(tree, args.format), args.out)
     return EXIT_OK

@@ -8,6 +8,7 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -806,5 +807,22 @@ class TestConsoleScript:
     def test_entry_point(self):
         done = subprocess.run(["chainlogic", "consistency", "--demo", "xzx"],
                               capture_output=True, text=True)
+        assert done.returncode == EXIT_INCONSISTENT
+        assert "verdict: inconsistent" in done.stdout
+
+    def test_entry_point_without_path(self):
+        """The script pip generates from [project.scripts] runs this code."""
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts == {"chainlogic": "chainlogic.cli:main"}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        env.pop("CHAINLOGIC_TOL", None)
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from chainlogic.cli import main; sys.exit(main())",
+             "consistency", "--demo", "xzx"],
+            capture_output=True, text=True, env=env)
         assert done.returncode == EXIT_INCONSISTENT
         assert "verdict: inconsistent" in done.stdout

@@ -4,16 +4,20 @@
 ``COMMANDS`` run on one sample config from ``configs/``; the files named in
 ``STANDALONE`` hold the stdout of commands that read no config.  Any
 difference is a change in user-visible output; re-record a file only when
-that change is deliberate.
+that change is deliberate.  Every text and CSV file is also rendered from its
+JSON sibling alone, every JSON file is checked against its published schema,
+and no file sits in the directory unnamed.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
+from test_cli import REPORT_VALIDATOR, TREE_VALIDATOR
 
-from chainlogic.cli import EXIT_INCONSISTENT, EXIT_OK, TOL_ENV_VAR, main
+from chainlogic.cli import EXIT_INCONSISTENT, EXIT_OK, TOL_ENV_VAR, _render, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -95,3 +99,32 @@ def test_standalone_report_matches_golden(capsys, monkeypatch, command):
     out = capsys.readouterr().out
     assert code == expected_code
     assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+NAMED = sorted({f"{config}.{golden}" for _, golden in COMMANDS.values()
+                for config in CONFIGS}
+               | {golden for _, golden, _ in STANDALONE.values()})
+# a text or CSV golden -> the format it is rendered in from its JSON sibling
+RENDERED = {name: "csv" if name.endswith(".csv") else "text"
+            for name in NAMED if name.endswith((".txt", ".csv"))}
+
+
+@pytest.mark.parametrize("name", sorted(RENDERED))
+def test_text_is_rendered_from_the_json_report(name):
+    """Text and CSV are views of the JSON report: rendering the recorded report
+    loaded from disk gives the recorded text byte for byte."""
+    report = json.loads((GOLDEN / name).with_suffix(".json").read_text())
+    assert _render(report, RENDERED[name]).encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", [n for n in NAMED if n.endswith(".json")])
+def test_json_golden_matches_its_schema(name):
+    document = json.loads((GOLDEN / name).read_text())
+    validator = (TREE_VALIDATOR if document["kind"] == "framework-tree"
+                 else REPORT_VALIDATOR)
+    validator.validate(document)
+
+
+def test_every_golden_file_is_named():
+    """A recorded file that no command names would never be compared."""
+    assert sorted(path.name for path in GOLDEN.iterdir()) == NAMED
