@@ -8,7 +8,7 @@ class ChainLogicError(Exception):
 
 
 class KindMismatchError(ChainLogicError):
-    """Tensor product of operands of different kinds (state vs operator)."""
+    """Tensor product of operands whose kinds do not combine."""
 
 
 class DimensionMismatchError(ChainLogicError):

@@ -261,14 +261,6 @@ class ConsistencyReport:
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
-    @property
-    def verdict(self) -> str:
-        return "consistent" if self.consistent else "inconsistent"
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal().real.copy()
-
 
 def consistency_matrix(family: HistoryFamily,
                        tol: float = SPECTRAL_TOL) -> ConsistencyReport:

@@ -13,7 +13,7 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,13 +52,6 @@ class Tolerances:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and 0 < value < 1):
                 raise ValueError(f"tolerance {name!r} must lie in (0, 1), got {value!r}")
-
-    @classmethod
-    def from_mapping(cls, data: Mapping[str, float]) -> "Tolerances":
-        unknown = set(data) - {"consistency", "prune"}
-        if unknown:
-            raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-        return cls(**data)
 
 
 def _frozen_complex(arr: np.ndarray) -> np.ndarray:
@@ -370,9 +363,6 @@ class ProjectiveDecomposition:
     def __iter__(self):
         return iter(self.members)
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     @property
     def dim(self) -> int:
         return self.members[0][1].dim
@@ -466,19 +456,14 @@ def validate_pvm(members: Sequence[tuple[str, Projector]]) -> ProjectiveDecompos
 
 
 def tensor_product(left, right):
-    """Kind-preserving tensor product; mixing kinds is an error."""
-    if isinstance(left, StateVector) and isinstance(right, StateVector):
-        return left.tensor(right)
-    if isinstance(left, Projector) and isinstance(right, Projector):
-        return left.tensor(right)
-    if isinstance(left, DensityOperator) and isinstance(right, DensityOperator):
-        return left.tensor(right)
+    """Kronecker product of two vectors or of two matrices, nothing else."""
     if isinstance(left, np.ndarray) and isinstance(right, np.ndarray):
         if left.ndim != right.ndim or left.ndim not in (1, 2):
             raise KindMismatchError("tensor of arrays with different ranks")
         return np.kron(left, right)
     raise KindMismatchError(
-        f"tensor of mixed kinds: {type(left).__name__} with {type(right).__name__}")
+        f"tensor_product takes two arrays, got {type(left).__name__} "
+        f"and {type(right).__name__}")
 
 
 def _embedding(op: np.ndarray, dims: Sequence[int], sites: Sequence[int]

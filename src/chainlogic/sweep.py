@@ -77,24 +77,20 @@ def _row_from_scenario(parameter: float, scenario: HardyScenario) -> SweepRow:
         is_hardy=predictions.is_hardy)
 
 
-def parameter_sweep(values: Iterable[float | HardyAmplitudes], *,
+def parameter_sweep(values: Iterable[float], *,
                     family: str = "symmetric_outer",
                     mode: str = "particle",
                     choice_weights: ChoiceWeights = DEFAULT_CHOICE_WEIGHTS,
                     tolerances: Tolerances = Tolerances()) -> tuple[SweepRow, ...]:
     """Build one scenario per value and collect the headline quantities.
 
-    Values may be family parameters or explicit amplitude triples; the
-    default particle mode keeps each point cheap.
+    Values are parameters of ``family``; the default particle mode keeps
+    each point cheap.
     """
     rows = []
     for value in values:
-        if isinstance(value, HardyAmplitudes):
-            amps = value
-            parameter = abs(amps.b)
-        else:
-            parameter = float(value)
-            amps = family_amplitudes(family, parameter)
+        parameter = float(value)
+        amps = family_amplitudes(family, parameter)
         scenario = build_measurement_scenario(
             amps, mode=mode, choice_weights=choice_weights,
             tolerances=tolerances)

@@ -151,11 +151,6 @@ class BranchNode:
     def is_choice(self) -> bool:
         return self.label is not None and self.projector is None
 
-    def normalized_state(self) -> np.ndarray:
-        if self.prob <= 0.0:
-            raise ZeroDivisionError("cannot normalize a zero-weight branch state")
-        return self.state / np.sqrt(self.prob)
-
 
 @dataclass(frozen=True)
 class PrunedBranch:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -322,6 +323,28 @@ class TestExitCodes:
         assert code == EXIT_SOFTWARE
         assert out == ""
         assert "numerical fault: measurement unitary failed unitarity" in err
+
+    def test_weak_amplitude_has_the_not_hardy_code(self, capsys, write_config):
+        # normalized, so the config is accepted, but b lies below the strict
+        # amplitude floor that the locality contrast needs
+        path = write_config({"schema": 1, "mode": "particle", "amplitudes": [
+            0.7071067811865476, 1e-10, 0.7071067811865475]})
+        code, out, err = run_cli(capsys, "counterfactual", "--both",
+                                 "--config", path)
+        assert code == EXIT_NOT_HARDY
+        assert out == ""
+        assert "the locality contrast needs a strict amplitude triple" in err
+
+    def test_internal_inconsistency_has_its_own_code(self, capsys, monkeypatch):
+        # no input builds an inconsistent scenario tree, so the check is
+        # made to fail on a consistent one
+        real = hardy.tree_consistency
+        monkeypatch.setattr(hardy, "tree_consistency", lambda tree, tol: (
+            dataclasses.replace(real(tree, tol), consistent=False)))
+        code, out, err = run_cli(capsys, "hardy")
+        assert code == EXIT_INCONSISTENT
+        assert out == ""
+        assert "scenario tree failed its own consistency check" in err
 
     def test_bad_env_tolerance(self, capsys, monkeypatch):
         monkeypatch.setenv("CHAINLOGIC_TOL", "banana")
@@ -668,7 +691,7 @@ class TestConfigLoading:
 
     def test_bad_tolerances(self, write_config):
         path = write_config({"tolerances": {"slack": 1e-3}})
-        with pytest.raises(ConfigError, match="tolerances"):
+        with pytest.raises(ConfigError, match="unknown tolerance keys"):
             load_config(path, env={})
 
     def test_bad_completion_seed(self, write_config):

@@ -492,25 +492,19 @@ class TestTensorAndEmbed:
 
 
 class TestTolerances:
-    def test_defaults_and_mapping(self):
-        tol = Tolerances.from_mapping({"consistency": 1e-8})
+    def test_defaults(self):
+        tol = Tolerances(consistency=1e-8)
         assert tol.consistency == 1e-8
         assert tol.prune == Tolerances().prune
-        with pytest.raises(ValueError, match="unknown"):
-            Tolerances.from_mapping({"algebra": 1e-12})
-
-    def test_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown"):
-            Tolerances.from_mapping({"slack": 0.1})
 
     def test_bounds(self):
         with pytest.raises(ValueError):
             Tolerances(consistency=0.0)
         with pytest.raises(ValueError):
             Tolerances(prune=2.0)
-        # from_mapping passes values through, so a string meets the same check
+        # a string is not a number, whatever it spells
         with pytest.raises(ValueError, match="must lie in"):
-            Tolerances.from_mapping({"consistency": "1e-3"})
+            Tolerances(consistency="1e-3")
 
 
 def test_commutator_norm_zx():

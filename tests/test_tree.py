@@ -168,8 +168,6 @@ class TestBuildTree:
             f = leaf.projector.matrix @ u @ p1 @ u
             want = np.trace(f @ rho.matrix @ f.conj().T).real
             assert leaf.prob == pytest.approx(want, abs=1e-12)
-            assert np.linalg.norm(leaf.normalized_state()) == pytest.approx(
-                1.0, abs=1e-12)
 
 
 class TestPruning:
