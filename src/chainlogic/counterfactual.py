@@ -26,7 +26,6 @@ branch at the pivot time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -338,7 +337,6 @@ def locality_report(scenario: HardyScenario) -> LocalityReport:
     demonstrated = (
         verdict_ml1.kind == "necessary" and verdict_ml1.outcome == "MR2+"
         and verdict_ml2.kind == "possible"
-        and not math.isnan(signaling.max_discrepancy)
         and signaling.passes)
     return LocalityReport(verdict_ml1=verdict_ml1, verdict_ml2=verdict_ml2,
                           no_signaling=signaling, demonstrated=demonstrated)

@@ -78,7 +78,6 @@ L_SETTINGS = ("ML1", "ML2")
 R_SETTINGS = ("MR1", "MR2")
 OUTCOME_SIGNS = ("+", "-")
 
-REGISTER_LABELS = ("ready1", "ready2", "p1+", "p1-", "p2+", "p2-")
 _POINTER = {(1, "+"): 2, (1, "-"): 3, (2, "+"): 4, (2, "-"): 5}
 
 
@@ -424,8 +423,8 @@ def _register_projector(side: str, index: int) -> Projector:
 
 
 def _pointer_projector(setting: MeasurementSetting, sign: str) -> Projector:
-    side = "L" if setting.name in L_SETTINGS else "R"
-    return _register_projector(side, _POINTER[(_SETTING_NUMBER[setting.name], sign)])
+    return _register_projector(setting.side,
+                               _POINTER[(_SETTING_NUMBER[setting.name], sign)])
 
 
 def _schedule(settings, left_choice, right_choice, outcome_projector):
@@ -489,9 +488,9 @@ def build_measurement_scenario(
         schedule = _schedule(setting_tuple, *choices, _qubit_projector)
         rho: StateVector | DensityOperator = pair_state
     else:
-        by_name = {s.name: s for s in setting_tuple}
-        u_l = measurement_unitary(by_name["ML1"], by_name["ML2"], completion_seed)
-        u_r = measurement_unitary(by_name["MR1"], by_name["MR2"], completion_seed)
+        # both routes hand over (ML1, ML2, MR1, MR2), in that order
+        u_l = measurement_unitary(*setting_tuple[:2], completion_seed)
+        u_r = measurement_unitary(*setting_tuple[2:], completion_seed)
         # each register starts in sqrt(w1)|ready1> + sqrt(w2)|ready2>
         chi_l, chi_r = np.zeros((2, 6), dtype=np.complex128)
         for chi, pair in ((chi_l, weights[0]), (chi_r, weights[1])):
@@ -555,20 +554,13 @@ def conditional_outcome_table(
     Classical choice weights are divided out; a setting combination with
     zero weight yields NaN entries.
     """
-    joint = joint_probability_table(scenario)
     w_l = dict(zip(L_SETTINGS, scenario.choice_weights[0]))
     w_r = dict(zip(R_SETTINGS, scenario.choice_weights[1]))
     table: dict[tuple[str, str], dict[tuple[str, str], float]] = {}
-    for ls in L_SETTINGS:
-        for rs in R_SETTINGS:
-            weight = w_l[ls] * w_r[rs]
-            cell = {}
-            for lo in OUTCOME_SIGNS:
-                for ro in OUTCOME_SIGNS:
-                    value = joint[(ls, ls + lo, rs, rs + ro)]
-                    cell[(ls + lo, rs + ro)] = value / weight if weight > 0 \
-                        else float("nan")
-            table[(ls, rs)] = cell
+    for (ls, l_out, rs, r_out), value in joint_probability_table(scenario).items():
+        weight = w_l[ls] * w_r[rs]
+        table.setdefault((ls, rs), {})[(l_out, r_out)] = \
+            value / weight if weight > 0 else float("nan")
     return table
 
 
@@ -637,31 +629,21 @@ def no_signaling_report(scenario: HardyScenario) -> NoSignalingReport:
     """Marginal distributions of one side must not depend on the far setting,
     within the scenario's consistency tolerance."""
     cond = conditional_outcome_table(scenario)
-    right: dict[str, dict[str, dict[str, float]]] = {}
-    left: dict[str, dict[str, dict[str, float]]] = {}
-    for rs in R_SETTINGS:
-        right[rs] = {}
-        for ls in L_SETTINGS:
-            cell = cond[(ls, rs)]
-            right[rs][ls] = {
-                rs + ro: sum(cell[(ls + lo, rs + ro)] for lo in OUTCOME_SIGNS)
-                for ro in OUTCOME_SIGNS}
-    for ls in L_SETTINGS:
-        left[ls] = {}
-        for rs in R_SETTINGS:
-            cell = cond[(ls, rs)]
-            left[ls][rs] = {
-                ls + lo: sum(cell[(ls + lo, rs + ro)] for ro in OUTCOME_SIGNS)
-                for lo in OUTCOME_SIGNS}
-    diffs = []
-    for rs in R_SETTINGS:
-        pair = [right[rs][ls] for ls in L_SETTINGS]
-        diffs.extend(abs(pair[0][key] - pair[1][key]) for key in pair[0])
-    for ls in L_SETTINGS:
-        pair = [left[ls][rs] for rs in R_SETTINGS]
-        diffs.extend(abs(pair[0][key] - pair[1][key]) for key in pair[0])
+    # marginals[side][near setting][far setting][near outcome], side 0 the
+    # left: each sums the far side's outcomes in OUTCOME_SIGNS order
+    marginals: tuple[dict[str, dict[str, dict[str, float]]], ...] = ({}, {})
+    for settings, cell in cond.items():
+        for side, near in enumerate(settings):
+            far = settings[1 - side]
+            marginal = marginals[side].setdefault(near, {}).setdefault(far, {})
+            for outcomes, value in cell.items():
+                marginal[outcomes[side]] = marginal.get(outcomes[side], 0) + value
+    diffs = [abs(first[key] - second[key]) for by_near in marginals
+             for first, second in (pair.values() for pair in by_near.values())
+             for key in first]
     # np.max propagates NaN from zero-weight settings; plain max() would not
     worst = float(np.max(diffs))
-    return NoSignalingReport(right_marginals=right, left_marginals=left,
+    return NoSignalingReport(right_marginals=marginals[1],
+                             left_marginals=marginals[0],
                              max_discrepancy=worst,
                              tol=scenario.tolerances.consistency)

@@ -526,13 +526,36 @@ class TestNoSignaling:
                     ours = report.right_marginals[rs][ls][rs + ro]
                     assert ours == pytest.approx(expected, abs=1e-12)
 
-    def test_zero_weight_setting_yields_nan(self):
+    @pytest.mark.parametrize("mode", ["particle", "apparatus"])
+    def test_both_sides_sum_the_conditional_table(self, mode):
         scenario = build_measurement_scenario(
-            EQUAL, mode="particle", choice_weights=((1.0, 0.0), (0.5, 0.5)))
-        table = conditional_outcome_table(scenario)
-        assert math.isnan(table[("ML2", "MR1")][("ML2+", "MR1+")])
+            HardyAmplitudes.from_unnormalized(0.6, 0.5 + 0.2j, 0.4), mode=mode,
+            choice_weights=((0.3, 0.7), (0.6, 0.4)))
         report = no_signaling_report(scenario)
-        assert not report.passes  # NaN discrepancies cannot certify anything
+        cond = conditional_outcome_table(scenario)
+        left = {ls: {rs: {ls + lo: sum(cond[(ls, rs)][(ls + lo, rs + ro)]
+                                       for ro in OUTCOME_SIGNS)
+                          for lo in OUTCOME_SIGNS}
+                     for rs in R_SETTINGS}
+                for ls in L_SETTINGS}
+        right = {rs: {ls: {rs + ro: sum(cond[(ls, rs)][(ls + lo, rs + ro)]
+                                        for lo in OUTCOME_SIGNS)
+                           for ro in OUTCOME_SIGNS}
+                      for ls in L_SETTINGS}
+                 for rs in R_SETTINGS}
+        assert report.left_marginals == left
+        assert report.right_marginals == right
+
+    def test_zero_weight_setting_yields_nan(self):
+        for mode, weights, (ls, rs) in [
+                ("particle", ((1.0, 0.0), (0.5, 0.5)), ("ML2", "MR1")),
+                ("apparatus", ((0.5, 0.5), (0.0, 1.0)), ("ML1", "MR1"))]:
+            scenario = build_measurement_scenario(
+                EQUAL, mode=mode, choice_weights=weights)
+            table = conditional_outcome_table(scenario)
+            assert math.isnan(table[(ls, rs)][(ls + "+", rs + "+")])
+            report = no_signaling_report(scenario)
+            assert not report.passes  # NaN discrepancies cannot certify anything
 
 
 def all_dense(times, steps):

@@ -405,6 +405,22 @@ class TestConsistencyFromKets:
             "projectors 'x+' and 'z+' at time index 2 are neither equal nor "
             "orthogonal; the family does not come from one decomposition")
 
+    def test_choice_and_projector_under_one_label_refused(self):
+        # 'a' is a choice under z+ and x+ under z-: the identity standing in
+        # for the choice shares a block with x+ at time index 2
+        def second(path):
+            if path[-1] == "z+":
+                return ClassicalChoice((("a", 1.0),))
+            return [("a", proj(X_PLUS)), ("b", proj(X_MINUS))]
+
+        grid = TimeGrid.identity((0.0, 1.0, 2.0), 2)
+        tree = build_tree(grid, [z_layer(), second], StateVector(X_PLUS))
+        with pytest.raises(ValueError) as info:
+            tree_consistency(tree)
+        assert str(info.value) == (
+            "projectors 'a' and 'a' at time index 2 are neither equal nor "
+            "orthogonal; the family does not come from one decomposition")
+
 
 class TestCompatibility:
     def test_noncommuting_families_are_incompatible(self):
