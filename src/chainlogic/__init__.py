@@ -42,7 +42,6 @@ from .hardy import (
     PredictionReport,
     build_measurement_scenario,
     conditional_outcome_table,
-    derive_hardy_bases,
     hardy_settings,
     hardy_state,
     joint_probability_table,

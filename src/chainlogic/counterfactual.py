@@ -175,9 +175,17 @@ def _premise_pivots(tree: FrameworkTree, query: CounterfactualQuery,
             matching.append(leaf)
     total = sum(leaf.prob for leaf in matching)
     if total <= tol or total <= 0.0:  # no weight is vacuous at any tol
+        # pruning may have dropped the premise; the grown tree still has it
+        nodes = [tree.grown[()]]
+        for t in range(1, tree.depth + 1):
+            label = query.premise.get(t)
+            nodes = [child for node in nodes for child in node.children
+                     if label is None or child.label == label]
+        grown = sum(node.prob for node in nodes)
         raise VacuousPremiseError(
             f"premise {dict(sorted(query.premise.items()))!r} has probability "
-            f"{total:.3e}; conditioning on it is undefined")
+            f"{total:.3e} ({grown:.3e} as grown), at or below the vacuity "
+            f"threshold {tol:.3e}; conditioning on it is undefined")
     byprefix: dict[BranchPath, float] = {}
     for leaf in matching:
         prefix = leaf.path[:query.pivot_time - 1]

@@ -1,4 +1,4 @@
-"""Two-qubit Hardy scenario: state, derived bases, measurement schedule.
+"""Two-qubit Hardy scenario: state, measurement settings, schedule.
 
 The state a|00> + b|01> + c|10> has no |11> component.  Each side owns two
 alternative measurement settings; the left settings are ML1 (computational
@@ -41,7 +41,6 @@ from .errors import (
     ConfigError,
     DegenerateBasisError,
     InternalConsistencyError,
-    NotAHardyStateError,
     NumericalFaultError,
     ScheduleError,
 )
@@ -173,52 +172,6 @@ def _unit_orthogonal(w: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DerivedBases:
-    """The two derived qubit bases, phase convention: first nonzero component
-    of every vector is real positive."""
-
-    d1_plus: np.ndarray
-    d1_minus: np.ndarray
-    d2_plus: np.ndarray
-    d2_minus: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("d1_plus", "d1_minus", "d2_plus", "d2_minus"):
-            arr = np.array(getattr(self, name), dtype=np.complex128)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def derive_hardy_bases(amplitudes: HardyAmplitudes, *,
-                       require_strict: bool = True) -> DerivedBases:
-    """Bases that realize the joint-outcome zeros.
-
-    d1_plus is the unit vector orthogonal to a|0> + c|1> (left side),
-    d2_plus the one orthogonal to a|0> + b|1> (right side); the minus
-    partners complete each basis.  The strictness precondition is checked
-    before degeneracy, so a triple with b = 0 fails as not-a-Hardy-state
-    rather than as a degenerate d2 construction.
-    """
-    if require_strict and not amplitudes.is_strict:
-        raise NotAHardyStateError(
-            "amplitude triple is not strict: every magnitude must exceed "
-            f"{STRICT_AMPLITUDE_FLOOR:.0e}")
-    a, b, c = amplitudes.triple
-    w1 = np.array([a, c], dtype=np.complex128)
-    w2 = np.array([a, b], dtype=np.complex128)
-    if np.linalg.norm(w1) <= STRICT_AMPLITUDE_FLOOR:
-        raise DegenerateBasisError("a and c both vanish; the d1 basis is undefined")
-    if np.linalg.norm(w2) <= STRICT_AMPLITUDE_FLOOR:
-        raise DegenerateBasisError("a and b both vanish; the d2 basis is undefined")
-    return DerivedBases(
-        d1_plus=_phase_fixed(_unit_orthogonal(w1)),
-        d1_minus=_phase_fixed(w1 / np.linalg.norm(w1)),
-        d2_plus=_phase_fixed(_unit_orthogonal(w2)),
-        d2_minus=_phase_fixed(w2 / np.linalg.norm(w2)),
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class MeasurementSetting:
     """A named single-qubit setting: orthonormal (plus, minus) outcome pair."""
 
@@ -279,19 +232,30 @@ def hardy_settings(amplitudes: HardyAmplitudes) -> tuple[MeasurementSetting, ...
     """The four settings (ML1, ML2, MR1, MR2) for this triple; ML1 and MR1
     are the shared module constants.
 
-    Outcome conventions follow the module docstring: MR1+ registers |1>,
-    MR2+ registers the normalized a|0> + b|1> (so MR2- is its orthogonal
-    complement), while the left side maps + to |0> (ML1) and to d1_plus
-    (ML2).
+    With w1 = (a, c) and w2 = (a, b): ML2+ is the unit vector orthogonal to
+    w1 and ML2- is w1 normalized; MR2+ is w2 normalized and MR2- the unit
+    vector orthogonal to it.  So ML2+ kills a|0> + c|1> and MR2- kills
+    a|0> + b|1>, the right side's signs flipped as in the module docstring.
+    Every vector is phase-fixed: its first nonzero component is real
+    positive.  A non-strict triple such as b = 0 still derives; only a
+    vanishing w1 or w2 raises ``DegenerateBasisError``.
     """
-    bases = derive_hardy_bases(amplitudes, require_strict=False)
+    a, b, c = amplitudes.triple
+    w1 = np.array([a, c], dtype=np.complex128)
+    w2 = np.array([a, b], dtype=np.complex128)
+    if np.linalg.norm(w1) <= STRICT_AMPLITUDE_FLOOR:
+        raise DegenerateBasisError("a and c both vanish; the ML2 basis is undefined")
+    if np.linalg.norm(w2) <= STRICT_AMPLITUDE_FLOOR:
+        raise DegenerateBasisError("a and b both vanish; the MR2 basis is undefined")
     return (
         ML1,
-        MeasurementSetting(side="L", name="ML2", plus=bases.d1_plus,
-                           minus=bases.d1_minus),
+        MeasurementSetting(side="L", name="ML2",
+                           plus=_phase_fixed(_unit_orthogonal(w1)),
+                           minus=_phase_fixed(w1 / np.linalg.norm(w1))),
         MR1,
-        MeasurementSetting(side="R", name="MR2", plus=bases.d2_minus,
-                           minus=bases.d2_plus),
+        MeasurementSetting(side="R", name="MR2",
+                           plus=_phase_fixed(w2 / np.linalg.norm(w2)),
+                           minus=_phase_fixed(_unit_orthogonal(w2))),
     )
 
 
@@ -497,12 +461,9 @@ def build_measurement_scenario(
             chi[:2] = [math.sqrt(w) for w in pair]
             chi /= np.linalg.norm(chi)
         if isinstance(pair_state, StateVector):
-            full = np.einsum("lr,m,n->lmrn",
-                             pair_state.normalized().amps.reshape(2, 2),
-                             chi_l, chi_r)
-            # einsum produced (qL, regL, qR, regR); reorder to the module
-            # convention (qL, qR, regL, regR)
-            rho = StateVector(full.transpose(0, 2, 1, 3).reshape(144))
+            rho = StateVector(np.einsum(
+                "lr,m,n->lrmn", pair_state.normalized().amps.reshape(2, 2),
+                chi_l, chi_r).reshape(144))
         else:
             rho = pair_state.tensor(DensityOperator.from_state(
                 StateVector(np.kron(chi_l, chi_r))))
@@ -594,6 +555,10 @@ class PredictionReport:
     def flag(self) -> str | None:
         if self.is_hardy:
             return None
+        # conditional_outcome_table gives NaN only where the weight is zero
+        if any(math.isnan(v) for v in (self.s1, self.s2, self.s3, self.s4)):
+            return ("not a Hardy state: a conditional is undefined, its "
+                    "setting pair has zero choice weight")
         if self.zeros_pass and not self.s4_pass:
             return "not a Hardy state: the fourth joint probability vanishes"
         return "not a Hardy state: a joint zero fails"

@@ -598,6 +598,13 @@ class TestSweep:
         assert out == ""
         assert "--values" in err and "--maximize-s4" in err
 
+    def test_vacuous_premise_names_grown_weight(self, capsys):
+        # the premise grows at b^2/4 = 2.5e-13, under the prune tolerance
+        code, out, err = run_cli(capsys, "sweep", "--values=1e-6")
+        assert code == 1
+        assert out == ""
+        assert "2.500e-13" in err and "1.000e-10" in err
+
     def test_mode_read_from_config(self, capsys):
         config = str(ROOT / "configs" / "equal_apparatus.json")
         args = ("sweep", "--values", "0.5", "--format", "csv")

@@ -8,11 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from chainlogic.errors import (
-    ConfigError,
-    DegenerateBasisError,
-    NotAHardyStateError,
-)
+from chainlogic.errors import ConfigError, DegenerateBasisError
 from chainlogic.hardy import (
     L_SETTINGS,
     OUTCOME_SIGNS,
@@ -20,7 +16,6 @@ from chainlogic.hardy import (
     HardyAmplitudes,
     build_measurement_scenario,
     conditional_outcome_table,
-    derive_hardy_bases,
     hardy_settings,
     hardy_state,
     joint_probability_table,
@@ -94,51 +89,50 @@ class TestAmplitudes:
 
 
 class TestDerivedBases:
+    """ML2 and MR2 as ``hardy_settings`` derives them."""
+
     def test_orthonormal_pairs(self):
-        bases = derive_hardy_bases(EQUAL)
-        for plus, minus in ((bases.d1_plus, bases.d1_minus),
-                            (bases.d2_plus, bases.d2_minus)):
+        _, ml2, _, mr2 = hardy_settings(EQUAL)
+        for plus, minus in ((ml2.plus, ml2.minus), (mr2.plus, mr2.minus)):
             assert abs(np.vdot(plus, plus) - 1.0) < 1e-12
             assert abs(np.vdot(minus, minus) - 1.0) < 1e-12
             assert abs(np.vdot(plus, minus)) < 1e-12
 
     def test_defining_orthogonality(self):
         a, b, c = EQUAL.triple
-        bases = derive_hardy_bases(EQUAL)
-        assert abs(np.vdot(bases.d1_plus, np.array([a, c]))) < 1e-12
-        assert abs(np.vdot(bases.d2_plus, np.array([a, b]))) < 1e-12
+        _, ml2, _, mr2 = hardy_settings(EQUAL)
+        assert abs(np.vdot(ml2.plus, np.array([a, c]))) < 1e-12
+        assert abs(np.vdot(mr2.minus, np.array([a, b]))) < 1e-12
 
     def test_phase_convention(self):
         amps = HardyAmplitudes.from_unnormalized(0.3 + 0.4j, -0.5, 0.6j)
-        bases = derive_hardy_bases(amps)
-        for vec in (bases.d1_plus, bases.d1_minus, bases.d2_plus,
-                    bases.d2_minus):
+        _, ml2, _, mr2 = hardy_settings(amps)
+        for vec in (ml2.plus, ml2.minus, mr2.plus, mr2.minus):
             first = vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]]
             assert abs(first.imag) < 1e-12
             assert first.real > 0.0
 
-    def test_strict_gate_fires_before_degeneracy(self):
+    def test_non_strict_triple_still_derives(self):
+        # b = 0 is not a strict triple, yet both derived bases are defined
         degenerate = HardyAmplitudes(math.sqrt(0.5), 0.0, math.sqrt(0.5))
-        with pytest.raises(NotAHardyStateError):
-            derive_hardy_bases(degenerate)
-        # relaxing strictness lets the construction proceed: both derived
-        # bases are still well defined for b = 0
-        bases = derive_hardy_bases(degenerate, require_strict=False)
-        assert abs(np.vdot(bases.d2_plus, bases.d2_minus)) < 1e-12
+        _, _, _, mr2 = hardy_settings(degenerate)
+        assert abs(np.vdot(mr2.plus, mr2.minus)) < 1e-12
 
     def test_genuinely_degenerate_basis(self):
         middle_only = HardyAmplitudes(0.0, 1.0, 0.0)
-        with pytest.raises(DegenerateBasisError):
-            derive_hardy_bases(middle_only, require_strict=False)
+        with pytest.raises(DegenerateBasisError, match="the ML2 basis"):
+            hardy_settings(middle_only)
+        with pytest.raises(DegenerateBasisError, match="the MR2 basis"):
+            hardy_settings(HardyAmplitudes(0.0, 0.0, 1.0))
 
     @given(strict_triples())
     def test_matches_oracle_vectors(self, amps):
-        bases = derive_hardy_bases(amps)
+        _, ml2, _, mr2 = hardy_settings(amps)
         reference = oracles.outcome_vectors(*amps.triple)
-        pairs = ((bases.d1_plus, reference[("ML2", "+")]),
-                 (bases.d1_minus, reference[("ML2", "-")]),
-                 (bases.d2_plus, reference[("MR2", "-")]),
-                 (bases.d2_minus, reference[("MR2", "+")]))
+        pairs = ((ml2.plus, reference[("ML2", "+")]),
+                 (ml2.minus, reference[("ML2", "-")]),
+                 (mr2.plus, reference[("MR2", "+")]),
+                 (mr2.minus, reference[("MR2", "-")]))
         for ours, theirs in pairs:
             # compare up to phase via the rank-1 projectors
             assert np.abs(outer(ours) - outer(theirs)).max() < 1e-12
@@ -492,6 +486,16 @@ class TestPredictions:
         assert not report.s4_pass
         assert not report.is_hardy
         assert "fourth" in report.flag
+
+    def test_zero_weight_setting_pair_flagged(self):
+        # the CLI refuses zero weights; the library leaves the conditionals
+        # of a never-chosen setting undefined
+        scenario = build_measurement_scenario(
+            EQUAL, mode="particle", choice_weights=((1.0, 0.0), (0.5, 0.5)))
+        report = verify_hardy_predictions(scenario)
+        assert math.isnan(report.s3) and math.isnan(report.s4)
+        assert not report.is_hardy
+        assert "zero choice weight" in report.flag
 
     @given(strict_triples())
     @settings(max_examples=25)
