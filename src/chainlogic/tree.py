@@ -27,7 +27,7 @@ alike without the weights, gives ``tree_consistency`` its matrices.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -152,12 +152,6 @@ class BranchNode:
         return self.label is not None and self.projector is None
 
 
-@dataclass(frozen=True)
-class PrunedBranch:
-    path: BranchPath
-    weight: float
-
-
 @dataclass(frozen=True, eq=False)
 class FrameworkTree:
     """Built (and possibly pruned) branching structure over a time grid.
@@ -165,14 +159,15 @@ class FrameworkTree:
     ``grown`` maps every branch path the build grew, pruned ones included,
     to its node as grown: a node's children are the members the schedule
     declares under its path, in schedule order.  It answers every path
-    lookup; ``leaves()`` is the one walk over the kept tree.
+    lookup; ``leaves()`` is the one walk over the kept tree.  ``pruned``
+    lists the paths pruning removed, each weighing ``grown[path].prob``.
     """
 
     grid: TimeGrid
     rho: DensityOperator
     root: BranchNode
     grown: dict[BranchPath, BranchNode]
-    pruned: tuple[PrunedBranch, ...] = ()
+    pruned: tuple[BranchPath, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -306,12 +301,12 @@ def prune_zero_branches(tree: FrameworkTree,
     """Remove every branch whose weight falls below ``tol``.
 
     Surviving probabilities are untouched (no renormalization); removed
-    branch paths are recorded with their weights.  Idempotent.  Only the
+    branch paths are appended to ``pruned``.  Idempotent.  Only the
     ancestors of a removed branch are made anew: the pruned tree shares
     every other node, subtree and all, with ``tree``, so a tree with nothing
     to prune keeps its root.
     """
-    removed: list[PrunedBranch] = []
+    removed: list[BranchPath] = []
     root = _rebuild(tree.root, tol, removed)
     if not root.children:  # the root itself, unlabeled, is never removed
         raise FrameworkViolationError("pruning removed the entire tree")
@@ -320,12 +315,12 @@ def prune_zero_branches(tree: FrameworkTree,
 
 
 def _rebuild(node: BranchNode, tol: float,
-             removed: list[PrunedBranch]) -> BranchNode | None:
+             removed: list[BranchPath]) -> BranchNode | None:
     """``node`` without its sub-``tol`` branches, or None when it goes too;
     removed paths are appended to ``removed`` in pre-order.  A node with
     nothing removed below it comes back as itself, subtree and all."""
     if node.label is not None and node.prob < tol:
-        removed.append(PrunedBranch(path=node.path, weight=node.prob))
+        removed.append(node.path)
         return None
     rebuilt = [_rebuild(child, tol, removed) for child in node.children]
     if all(new is old for new, old in zip(rebuilt, node.children)):
@@ -333,7 +328,7 @@ def _rebuild(node: BranchNode, tol: float,
     kept = tuple(c for c in rebuilt if c is not None)
     if not kept and node.label is not None:
         # all continuations vanished; the branch itself is unreachable
-        removed.append(PrunedBranch(path=node.path, weight=node.prob))
+        removed.append(node.path)
         return None
     return BranchNode(time_index=node.time_index, label=node.label,
                       projector=node.projector, weight=node.weight,
@@ -465,23 +460,17 @@ def check_compatibility(family_a: HistoryFamily,
     return CompatibilityResult(compatible=True)
 
 
-@dataclass(frozen=True)
-class SingleFrameworkCheck:
-    ok: bool
-    violations: tuple[BranchPath, ...] = ()
-
-
 def enforce_single_framework(paths: Iterable[Iterable[str]],
-                             tree: FrameworkTree) -> SingleFrameworkCheck:
-    """Check that every path resolves inside this one tree's schedule.
+                             tree: FrameworkTree) -> tuple[BranchPath, ...]:
+    """The paths that do not resolve inside this one tree's schedule, in
+    order; empty when every path does.
 
     A path resolves when the build grew it, so paths through pruned
     branches still resolve; any label foreign to the schedule, or declared
     at another depth, is a violation.
     """
     candidates = (tuple(str(label) for label in raw) for raw in paths)
-    violations = tuple(path for path in candidates if path not in tree.grown)
-    return SingleFrameworkCheck(ok=not violations, violations=violations)
+    return tuple(path for path in candidates if path not in tree.grown)
 
 
 # -- export / import ---------------------------------------------------------
@@ -489,67 +478,75 @@ def enforce_single_framework(paths: Iterable[Iterable[str]],
 TREE_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class TreeNodeDocument:
-    label: str | None
-    time: float
-    probability: float
-    pruned: bool
-    children: tuple["TreeNodeDocument", ...]
+def tree_document(tree: FrameworkTree) -> dict:
+    """The tree as the dict ``export_tree`` dumps to JSON (the shape of
+    ``tree.schema.json``), pruned branches flagged in place."""
+    return {"schema": TREE_SCHEMA_VERSION, "kind": "framework-tree",
+            "dim": tree.dim, "times": list(tree.grid.times),
+            "root": _node_doc(tree, tree.root)}
 
 
-@dataclass(frozen=True)
-class TreeDocument:
-    schema: int
-    kind: str
-    dim: int
-    times: tuple[float, ...]
-    root: TreeNodeDocument
+def _node_doc(tree: FrameworkTree, node: BranchNode, pruned: bool = False) -> dict:
+    """``node``'s document; a pruned branch is a stub without children."""
+    children = []
+    if not pruned:
+        present = {child.label: child for child in node.children}
+        children = [_node_doc(tree, present.get(child.label, child),
+                              child.label not in present)
+                    for child in tree.grown[node.path].children]
+    return {"label": node.label, "time": tree.grid.times[node.time_index],
+            "probability": node.prob, "pruned": pruned, "children": children}
 
 
-def tree_document(tree: FrameworkTree) -> TreeDocument:
-    """Serializable snapshot of the tree, pruned branches flagged in place."""
-    return TreeDocument(schema=TREE_SCHEMA_VERSION, kind="framework-tree",
-                        dim=tree.dim, times=tree.grid.times,
-                        root=_node_doc(tree, tree.root))
+def _number(value) -> bool:
+    """A JSON number; Python counts a bool as an int, JSON does not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _node_doc(tree: FrameworkTree, node: BranchNode) -> TreeNodeDocument:
-    present = {child.label: child for child in node.children}
-    children = tuple(
-        _node_doc(tree, present[child.label]) if child.label in present
-        else TreeNodeDocument(label=child.label,
-                              time=tree.grid.times[child.time_index],
-                              probability=child.prob, pruned=True, children=())
-        for child in tree.grown[node.path].children)
-    return TreeNodeDocument(
-        label=node.label, time=tree.grid.times[node.time_index],
-        probability=node.prob, pruned=False, children=children)
+# field: (test, what ``tree.schema.json`` asks of its value)
+_FIELDS = {
+    "dim": (lambda v: _number(v) and v % 1 == 0 and v >= 1, "an integer >= 1"),
+    "times": (lambda v: isinstance(v, list) and len(v) >= 2
+              and all(map(_number, v)), "an array of at least 2 numbers"),
+    "root": (lambda v: isinstance(v, dict), "an object"),
+    "label": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "time": (_number, "a number"),
+    "probability": (_number, "a number"),
+    "pruned": (lambda v: isinstance(v, bool), "a boolean"),
+    "children": (lambda v: isinstance(v, list)
+                 and all(isinstance(c, dict) for c in v), "an array of objects"),
+}
 
 
-def import_tree_json(text: str) -> TreeDocument:
-    """Parse a JSON tree export back into a document."""
+def _check(obj: dict, names: Sequence[str]) -> None:
+    for name in names:
+        test, want = _FIELDS[name]
+        if not test(obj[name]):
+            raise ValueError(
+                f"malformed framework-tree document: {name!r} must be {want}")
+
+
+def import_tree_json(text: str) -> dict:
+    """Parse a JSON tree export back into the dict ``tree_document`` gives.
+
+    What ``tree.schema.json`` refuses is refused, with a ``ValueError``
+    naming the missing or mistyped field; no value is coerced."""
     data = json.loads(text)
-    if (not isinstance(data, dict) or data.get("schema") != TREE_SCHEMA_VERSION
+    if (not isinstance(data, dict) or not _number(data.get("schema"))
+            or data["schema"] != TREE_SCHEMA_VERSION
             or data.get("kind") != "framework-tree"):
         raise ValueError("not a framework-tree document of a supported schema")
     try:
-        return TreeDocument(schema=int(data["schema"]), kind=str(data["kind"]),
-                            dim=int(data["dim"]),
-                            times=tuple(float(t) for t in data["times"]),
-                            root=_node_from(data["root"]))
+        _check(data, ("dim", "times", "root"))
+        stack = [data["root"]]
+        while stack:
+            node = stack.pop()
+            _check(node, ("label", "time", "probability", "pruned", "children"))
+            stack.extend(node["children"])
     except KeyError as missing:
         raise ValueError(
             f"framework-tree document lacks the field {missing}") from None
-    except TypeError as wrong:  # a node or list of another JSON type
-        raise ValueError(f"malformed framework-tree document: {wrong}") from None
-
-
-def _node_from(obj: dict) -> TreeNodeDocument:
-    return TreeNodeDocument(
-        label=obj["label"], time=float(obj["time"]),
-        probability=float(obj["probability"]), pruned=bool(obj["pruned"]),
-        children=tuple(_node_from(c) for c in obj["children"]))
+    return data
 
 
 def export_tree(tree: FrameworkTree, fmt: str = "dot") -> str:
@@ -560,28 +557,27 @@ def export_tree(tree: FrameworkTree, fmt: str = "dot") -> str:
     """
     doc = tree_document(tree)
     if fmt == "json":
-        # the documents' field names are the JSON keys
-        return json.dumps(asdict(doc), sort_keys=True, indent=2)
+        return json.dumps(doc, sort_keys=True, indent=2)
     if fmt != "dot":
         raise ValueError(f"unknown export format {fmt!r}")
 
     lines = ["digraph framework_tree {", "  rankdir=LR;",
              '  node [shape=box, fontname="monospace"];']
     # pre-order, children left to right; ids count nodes in that order
-    stack: list[tuple[TreeNodeDocument, str | None]] = [(doc.root, None)]
+    stack: list[tuple[dict, str | None]] = [(doc["root"], None)]
     counter = 0
     while stack:
         node, parent_id = stack.pop()
         node_id = f"n{counter}"
         counter += 1
-        name = node.label if node.label is not None else "start"
+        name = node["label"] if node["label"] is not None else "start"
         name = name.replace("\\", "\\\\").replace('"', '\\"')
-        text = f"{name}\\nt={node.time:g} p={node.probability:.6f}"
-        style = ", style=dashed" if node.pruned else ""
+        text = f"{name}\\nt={node['time']:g} p={node['probability']:.6f}"
+        style = ", style=dashed" if node["pruned"] else ""
         lines.append(f'  {node_id} [label="{text}"{style}];')
         if parent_id is not None:
-            edge_style = " [style=dashed]" if node.pruned else ""
+            edge_style = " [style=dashed]" if node["pruned"] else ""
             lines.append(f"  {parent_id} -> {node_id}{edge_style};")
-        stack.extend((child, node_id) for child in reversed(node.children))
+        stack.extend((child, node_id) for child in reversed(node["children"]))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -497,6 +497,17 @@ class TestPredictions:
         assert not report.is_hardy
         assert "zero choice weight" in report.flag
 
+    @pytest.mark.parametrize("mode", ["particle", "apparatus"])
+    def test_failed_joint_zero_flagged(self, mode):
+        # the uniform product state with the equal triple's settings
+        scenario = build_measurement_scenario(
+            state=StateVector([0.5, 0.5, 0.5, 0.5]),
+            settings=hardy_settings(HardyAmplitudes.equal()), mode=mode)
+        report = verify_hardy_predictions(scenario)
+        assert report.s1 == pytest.approx(0.25, abs=1e-12)
+        assert not report.zeros_pass and not report.is_hardy
+        assert report.flag == "not a Hardy state: a joint zero fails"
+
     @given(strict_triples())
     @settings(max_examples=25)
     def test_matches_oracle_for_random_triples(self, amps):

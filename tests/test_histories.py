@@ -63,6 +63,16 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid.identity((0.0,), 2)
 
+    def test_one_evolution_per_interval(self):
+        with pytest.raises(ValueError, match="need exactly one evolution per "
+                           "time interval"):
+            TimeGrid((0.0, 1.0, 2.0), (identity(2),))
+
+    def test_requires_square_evolutions(self):
+        with pytest.raises(ValueError,
+                           match="evolution 0 is not a square matrix"):
+            TimeGrid((0.0, 1.0), (np.ones((2, 3)),))
+
     def test_requires_unitaries(self):
         with pytest.raises(ValueError,
                            match=r"evolution 0 is not unitary \(defect 7.500e-01\)"):
@@ -122,6 +132,12 @@ class TestHistory:
         events = (HistoryEvent(1, "a", Projector(outer(Z_PLUS))),)
         with pytest.raises(ValueError):
             History(grid=grid, events=events)
+
+    def test_event_dim_must_match_grid(self):
+        events = (HistoryEvent(1, "a", Projector(outer(np.eye(3)[0]))),)
+        with pytest.raises(DimensionMismatchError, match="event at time index 1 "
+                           "has dim 3, grid dim is 2"):
+            History(grid=qubit_grid(1), events=events)
 
     def test_label_joins_events(self):
         grid = qubit_grid(2)
@@ -203,6 +219,12 @@ class TestMixedState:
             want = np.trace(f @ family.rho.matrix @ f.conj().T).real
             assert history_probability(h, family.rho) == pytest.approx(
                 want, abs=1e-12)
+
+    def test_history_probability_state_dim_must_match(self):
+        h = history_of(qubit_grid(1), Z_PLUS)
+        with pytest.raises(DimensionMismatchError,
+                           match="state and grid dimensions differ"):
+            history_probability(h, DensityOperator.from_state(basis_state(4, 0)))
 
 
 def xzx_family() -> HistoryFamily:
@@ -292,6 +314,20 @@ class TestConsistency:
 
 
 class TestFamilyValidation:
+    def test_needs_a_history(self):
+        with pytest.raises(ValueError, match="family needs at least one history"):
+            HistoryFamily(grid=qubit_grid(1),
+                          rho=DensityOperator.from_state(basis_state(2, 0)),
+                          histories=())
+
+    def test_histories_share_the_family_grid(self):
+        history = history_of(TimeGrid.identity((0.0, 2.0), 2), Z_PLUS)
+        with pytest.raises(ValueError,
+                           match="all histories must share the family grid"):
+            HistoryFamily(grid=qubit_grid(1),
+                          rho=DensityOperator.from_state(basis_state(2, 0)),
+                          histories=(history,))
+
     def test_projectors_must_be_equal_or_orthogonal(self):
         grid = qubit_grid(1)
         tilted = np.array([np.cos(0.3), np.sin(0.3)])

@@ -3,11 +3,14 @@ from __future__ import annotations
 import gc
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_cli import TREE_VALIDATOR
 
 from chainlogic import histories, tree as tree_module
+from chainlogic.cli import _scenario_from, load_config
 from chainlogic.counterfactual import locality_report
 from chainlogic.errors import (
     DimensionMismatchError,
@@ -70,6 +73,9 @@ def z_layer():
     return [("z+", proj(Z_PLUS)), ("z-", proj(Z_MINUS))]
 
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
 def zx_tree():
     grid = TimeGrid.identity((0.0, 1.0, 2.0), 2)
     return build_tree(grid, [z_layer(), x_layer()], basis_state(2, 0))
@@ -88,12 +94,23 @@ class TestClassicalChoice:
         with pytest.raises(DuplicateLabelError):
             ClassicalChoice((("a", 0.5), ("a", 0.5)))
 
+    def test_needs_a_member(self):
+        with pytest.raises(ScheduleError,
+                           match="classical choice needs at least one member"):
+            ClassicalChoice(())
+
 
 class TestBuildTree:
     def test_schedule_length_must_match(self):
         grid = TimeGrid.identity((0.0, 1.0, 2.0), 2)
         with pytest.raises(ScheduleError, match="layers"):
             build_tree(grid, [z_layer()], basis_state(2, 0))
+
+    def test_initial_state_must_match_grid_dim(self):
+        grid = TimeGrid.identity((0.0, 1.0), 2)
+        with pytest.raises(DimensionMismatchError,
+                           match="initial condition dim differs from grid dim"):
+            build_tree(grid, [z_layer()], basis_state(4, 0))
 
     def test_leaf_probabilities(self):
         tree = zx_tree()
@@ -175,8 +192,7 @@ class TestPruning:
         tree = prune_zero_branches(zx_tree())
         assert {leaf.path for leaf in tree.leaves()} == {("z+", "x+"),
                                                          ("z+", "x-")}
-        removed = {p.path for p in tree.pruned}
-        assert ("z-",) in removed
+        assert ("z-",) in tree.pruned
         assert sum(p for _, p in tree.leaf_probabilities()) == pytest.approx(
             1.0, abs=1e-12)
 
@@ -189,7 +205,7 @@ class TestPruning:
     def test_pruned_tree_shares_every_untouched_node(self):
         scenario = build_measurement_scenario(HardyAmplitudes.equal(),
                                               mode="apparatus")
-        removed = [p.path for p in scenario.tree.pruned]
+        removed = scenario.tree.pruned
         made = 0
         for node in all_nodes(scenario.tree):
             touched = any(path[:len(node.path)] == node.path for path in removed)
@@ -213,8 +229,8 @@ class TestPruning:
         probs = dict(tree.leaf_probabilities())
         assert set(probs) == {("a",)}
         assert probs[("a",)] == pytest.approx(0.7, abs=1e-12)
-        assert tree.pruned == tuple(
-            p for p in tree.pruned if p.path == ("b",))
+        assert tree.pruned == (("b",),)
+        assert tree.grown[("b",)].prob == pytest.approx(0.3, abs=1e-12)
 
     def test_tolerance_above_every_branch_is_refused(self):
         # every branch of the zx tree weighs at most 1/2
@@ -464,6 +480,20 @@ class TestCompatibility:
         with pytest.raises(ValueError, match="time grids"):
             check_compatibility(a, b)
 
+    def test_space_mismatch_rejected(self):
+        a = to_history_family(
+            build_tree(TimeGrid.identity((0.0, 1.0), 2), [z_layer()],
+                       basis_state(2, 0)))
+        eye2 = np.eye(2)
+        wide = [("first", Projector(np.kron(outer(Z_PLUS), eye2))),
+                ("second", Projector(np.kron(outer(Z_MINUS), eye2)))]
+        b = to_history_family(
+            build_tree(TimeGrid.identity((0.0, 1.0), 4), [wide],
+                       basis_state(4, 0)))
+        with pytest.raises(DimensionMismatchError,
+                           match="families live in different spaces"):
+            check_compatibility(a, b)
+
 
 def conditional_zx_tree(calls: list | None = None):
     """Time-2 layer chosen by a callable from the time-1 outcome."""
@@ -576,29 +606,26 @@ class TestLayerResolution:
 class TestSingleFramework:
     def test_declared_paths_resolve(self):
         tree = prune_zero_branches(zx_tree())
-        check = enforce_single_framework([("z+", "x-"), ("z-", "x+")], tree)
-        assert check.ok  # pruned branches still belong to the framework
+        # pruned branches still belong to the framework
+        assert enforce_single_framework([("z+", "x-"), ("z-", "x+")], tree) == ()
 
     def test_foreign_labels_flagged(self):
         tree = zx_tree()
-        check = enforce_single_framework([("z+", "y+")], tree)
-        assert not check.ok
-        assert check.violations == (("z+", "y+"),)
+        assert enforce_single_framework([("z+", "y+")], tree) == (("z+", "y+"),)
 
     def test_too_deep_path_flagged(self):
         tree = zx_tree()
-        check = enforce_single_framework([("z+", "x+", "x+")], tree)
-        assert not check.ok
+        path = ("z+", "x+", "x+")
+        assert enforce_single_framework([path], tree) == (path,)
 
     @pytest.mark.parametrize("prune", [False, True], ids=["unpruned", "pruned"])
     def test_root_and_prefixes_resolve(self, prune):
         tree = prune_zero_branches(zx_tree()) if prune else zx_tree()
-        assert enforce_single_framework([(), ("z-",)], tree).ok
+        assert enforce_single_framework([(), ("z-",)], tree) == ()
 
     @pytest.mark.parametrize("path", [("x+",), ("z+", "z+")])
     def test_declared_label_at_wrong_depth_flagged(self, path):
-        check = enforce_single_framework([path], zx_tree())
-        assert check.violations == (path,)
+        assert enforce_single_framework([path], zx_tree()) == (path,)
 
 
 class TestGrown:
@@ -625,6 +652,17 @@ class TestExport:
         text = export_tree(tree, "json")
         assert import_tree_json(text) == tree_document(tree)
 
+    @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+    @pytest.mark.parametrize("config", sorted(
+        path.stem for path in CONFIG_DIR.glob("*.json")))
+    def test_sample_trees_round_trip(self, config, prune):
+        scenario = _scenario_from(
+            load_config(str(CONFIG_DIR / f"{config}.json"), env={}))
+        tree = scenario.tree if prune else scenario.unpruned_tree
+        text = export_tree(tree, "json")
+        assert import_tree_json(text) == tree_document(tree)
+        assert json.loads(text) == tree_document(tree)
+
     def test_json_flags_pruned_branches(self):
         tree = prune_zero_branches(zx_tree())
         data = json.loads(export_tree(tree, "json"))
@@ -636,7 +674,7 @@ class TestExport:
         scenario = build_measurement_scenario(HardyAmplitudes.equal(),
                                               mode="particle")
         tree = prune_zero_branches(scenario.tree, 0.05)
-        weights = {p.path: p.weight for p in tree.pruned}
+        weights = {path: tree.grown[path].prob for path in tree.pruned}
         stubs = {}
         stack = [((), json.loads(export_tree(tree, "json"))["root"])]
         while stack:
@@ -682,6 +720,30 @@ class TestExport:
             doc = dict(json.loads(export), **{field: value})
             with pytest.raises(ValueError, match="malformed"):
                 import_tree_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("where, field, value", [
+        ((), "schema", True),
+        ((), "dim", 4.7),
+        ((), "dim", "2"),
+        ((), "times", [0.0]),
+        (("root",), "children", ""),
+        (("root", "children", 0), "pruned", "false"),
+        (("root", "children", 0), "label", 7),
+        (("root", "children", 0), "probability", True),
+        (("root", "children", 0), "time", "1"),
+    ], ids=["schema-bool", "dim-float", "dim-string", "times-one-item",
+            "children-string", "pruned-string", "label-int",
+            "probability-bool", "time-string"])
+    def test_import_refuses_what_the_schema_refuses(self, where, field, value):
+        doc = json.loads(export_tree(prune_zero_branches(zx_tree()), "json"))
+        assert TREE_VALIDATOR.is_valid(doc)
+        obj = doc
+        for key in where:
+            obj = obj[key]
+        obj[field] = value
+        assert not TREE_VALIDATOR.is_valid(doc)
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            import_tree_json(json.dumps(doc))
 
     def test_dot_escapes_labels(self):
         choice = ClassicalChoice((('say "hi"', 0.5), ("back\\", 0.5)))
