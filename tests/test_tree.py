@@ -59,6 +59,7 @@ X_PLUS = np.array([S, S])
 X_MINUS = np.array([S, -S])
 Z_PLUS = np.array([1.0, 0.0])
 Z_MINUS = np.array([0.0, 1.0])
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def proj(v: np.ndarray) -> Projector:
@@ -71,9 +72,6 @@ def x_layer():
 
 def z_layer():
     return [("z+", proj(Z_PLUS)), ("z-", proj(Z_MINUS))]
-
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def zx_tree():
